@@ -18,6 +18,7 @@ is exactly the comparison column of the paper's Table 4.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional, Tuple
 
 from ..battery import BatteryModel
@@ -37,13 +38,17 @@ __all__ = ["equation5_weights", "greedy_current_sequence", "rakhmatov_baseline"]
 def equation5_weights(
     graph: TaskGraph, assignment: DesignPointAssignment
 ) -> Dict[str, float]:
-    """Equation 5 weights: ``max(own chosen current, mean subgraph chosen current)``."""
+    """Equation 5 weights: ``max(own chosen current, mean subgraph chosen current)``.
+
+    The subgraph sum uses ``math.fsum`` so it does not depend on the set's
+    hash-seeded iteration order.
+    """
     assignment.validate(graph)
     chosen = {name: assignment.design_point(graph, name).current for name in graph.task_names()}
     weights: Dict[str, float] = {}
     for name in graph.task_names():
         members = graph.subgraph_rooted_at(name)
-        mean_current = sum(chosen[member] for member in members) / len(members)
+        mean_current = math.fsum(chosen[member] for member in members) / len(members)
         weights[name] = max(chosen[name], mean_current)
     return weights
 

@@ -15,6 +15,7 @@ tasks that dominate large high-current subgraphs should be pulled forward.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 from ..scheduling import DesignPointAssignment, sequence_by_weights
@@ -26,13 +27,18 @@ __all__ = ["equation4_weights", "find_weighted_sequence"]
 def equation4_weights(
     graph: TaskGraph, assignment: DesignPointAssignment
 ) -> Dict[str, float]:
-    """Equation 4 weights: total chosen-design-point current of each rooted subgraph."""
+    """Equation 4 weights: total chosen-design-point current of each rooted subgraph.
+
+    The subgraph is a set, so its iteration order follows the string hash
+    seed; ``math.fsum`` is exactly rounded and therefore order-independent,
+    which keeps the weights (and the sequence) identical in every process.
+    """
     assignment.validate(graph)
     chosen_currents = {
         name: assignment.design_point(graph, name).current for name in graph.task_names()
     }
     return {
-        name: sum(chosen_currents[member] for member in graph.subgraph_rooted_at(name))
+        name: math.fsum(chosen_currents[member] for member in graph.subgraph_rooted_at(name))
         for name in graph.task_names()
     }
 

@@ -44,3 +44,53 @@ class TestFindWeightedSequence:
     def test_deterministic(self, g3):
         assignment = DesignPointAssignment.all_slowest(g3)
         assert find_weighted_sequence(g3, assignment) == find_weighted_sequence(g3, assignment)
+
+
+# Scenarios whose Equation 4 sums, taken in set-iteration order, rounded
+# differently under PYTHONHASHSEED=0 and =1 before the sums used math.fsum.
+_HASH_SENSITIVE = ("fpga-map-reduce-4x2", "fpga-series-parallel-d3")
+
+_HISTORY_SCRIPT = """
+import dataclasses, json, sys
+from repro.baselines import rakhmatov_baseline
+from repro.core import battery_aware_schedule
+from repro.scenarios import default_registry
+from tests.core.test_golden import solution_record
+
+registry = default_registry()
+out = {}
+for name in sys.argv[1:]:
+    out[name] = solution_record(battery_aware_schedule(registry.get(name).build_problem()))
+# The Equation 5 baseline on a graph where its set-order sum used to flip
+# two equally ranked tasks.
+spec = registry.get("fpga-layered-5x3")
+spec = dataclasses.replace(spec, seed=spec.seed + 2000)
+out["dp-energy+greedy"] = list(rakhmatov_baseline(spec.build_problem()).sequence)
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def _histories_under_hash_seed(seed: str) -> dict:
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root)] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _HISTORY_SCRIPT, *_HASH_SENSITIVE],
+        env=env, cwd=str(root), capture_output=True, text=True, check=True,
+    )
+    return json.loads(completed.stdout)
+
+
+def test_iteration_histories_independent_of_hash_seed():
+    first = _histories_under_hash_seed("0")
+    second = _histories_under_hash_seed("1")
+    assert set(first) == set(_HASH_SENSITIVE) | {"dp-energy+greedy"}
+    assert first == second
