@@ -163,10 +163,12 @@ def current_increase_fraction(currents: Sequence[float]) -> float:
     assignments that create rising current steps.  Sequences with fewer than
     two tasks have no transitions and score 0.
     """
-    values = list(currents)
+    values = np.asarray(
+        currents if isinstance(currents, np.ndarray) else list(currents), dtype=float
+    )
     if len(values) < 2:
         return 0.0
-    increases = sum(1 for a, b in zip(values, values[1:]) if a < b)
+    increases = int(np.count_nonzero(values[:-1] < values[1:]))
     return increases / (len(values) - 1)
 
 
@@ -221,12 +223,13 @@ def windowed_design_point_fraction(
         return 0.0
     steps = width - 1  # number of penalised columns
     factor = 1.0 / steps
+    occupancy = np.bincount(
+        np.asarray(selection, dtype=int)[free], minlength=num_design_points
+    ).tolist()
     total = 0.0
     for offset in range(steps):
-        column = window_start + offset
-        occupancy = sum(1 for position in free if selection[position] == column)
         weight = (steps - offset) * factor
-        total += weight * occupancy / len(free)
+        total += weight * occupancy[window_start + offset] / len(free)
     return total
 
 

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..battery import BatteryModel
 from ..errors import ConfigurationError
+from ..obs import RECORDER as _OBS
 from ..scheduling import (
     SchedulingProblem,
     evaluate_schedule,
@@ -159,29 +160,30 @@ class BatteryAwareScheduler:
         index: int,
     ) -> IterationRecord:
         config = self.config
-        matrices = SequencedMatrices(graph, sequence)
-        window_evaluation = evaluate_windows(
-            matrices,
-            deadline=deadline,
-            model=model,
-            weights=config.factor_weights,
-            require_feasible=config.require_feasible_windows,
-            repair_infeasible=config.repair_infeasible,
-            record_evaluations=config.record_evaluations,
-        )
-        assignment = window_evaluation.best.assignment
+        with _OBS.span("core.iteration", label=str(index)):
+            matrices = SequencedMatrices(graph, sequence)
+            window_evaluation = evaluate_windows(
+                matrices,
+                deadline=deadline,
+                model=model,
+                weights=config.factor_weights,
+                require_feasible=config.require_feasible_windows,
+                repair_infeasible=config.repair_infeasible,
+                record_evaluations=config.record_evaluations,
+            )
+            assignment = window_evaluation.best.assignment
 
-        # One full canonical evaluation through the evaluator stack (the
-        # window search before it re-costs candidates the same way).
-        weighted_sequence = find_weighted_sequence(graph, assignment)
-        weighted_cost = evaluate_schedule(
-            graph,
-            weighted_sequence,
-            assignment,
-            model,
-            deadline=deadline,
-            evaluate_at=config.evaluate_at,
-        ).cost
+            # One full canonical evaluation through the evaluator stack (the
+            # window search before it re-costs candidates the same way).
+            weighted_sequence = find_weighted_sequence(graph, assignment)
+            weighted_cost = evaluate_schedule(
+                graph,
+                weighted_sequence,
+                assignment,
+                model,
+                deadline=deadline,
+                evaluate_at=config.evaluate_at,
+            ).cost
         weighted_makespan = assignment.total_execution_time(graph)
 
         min_cost = window_evaluation.best.cost

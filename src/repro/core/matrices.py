@@ -93,6 +93,9 @@ class SequencedMatrices:
         #: task uses column ``k`` (0-based).
         self.column_times = durations.sum(axis=0)
 
+        #: Row indices ``0..n-1``, shared by every selection lookup.
+        self._rows = np.arange(self.n)
+
     # ------------------------------------------------------------------
     # selections
     # ------------------------------------------------------------------
@@ -106,15 +109,15 @@ class SequencedMatrices:
 
     def selection_durations(self, selection: np.ndarray) -> np.ndarray:
         """Per-position execution times under a selection vector."""
-        return self.durations[np.arange(self.n), selection]
+        return self.durations[self._rows, selection]
 
     def selection_currents(self, selection: np.ndarray) -> np.ndarray:
         """Per-position currents under a selection vector."""
-        return self.currents[np.arange(self.n), selection]
+        return self.currents[self._rows, selection]
 
     def selection_energies(self, selection: np.ndarray) -> np.ndarray:
         """Per-position energies under a selection vector."""
-        return self.energies[np.arange(self.n), selection]
+        return self.energies[self._rows, selection]
 
     def total_time(self, selection: np.ndarray) -> float:
         """Sequential makespan of a selection (sum of chosen execution times)."""

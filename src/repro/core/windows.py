@@ -19,6 +19,7 @@ import numpy as np
 
 from ..battery import BatteryModel
 from ..errors import AlgorithmError, InfeasibleDeadlineError
+from ..obs import RECORDER as _OBS
 from ..scheduling import DesignPointAssignment
 from .choose import choose_design_points, promote_until_feasible
 from .factors import FactorWeights
@@ -129,32 +130,36 @@ def evaluate_windows(
     start = initial_window_start(matrices, deadline)
     records = []
     for window_start in range(start, -1, -1):
-        result = choose_design_points(
-            matrices,
-            window_start=window_start,
-            deadline=deadline,
-            weights=weights,
-            record_evaluations=record_evaluations,
-        )
-        selection = result.selection
-        makespan = result.makespan
-        if makespan > deadline + _EPS and repair_infeasible:
-            try:
-                selection = promote_until_feasible(matrices, selection, window_start, deadline)
-                makespan = matrices.total_time(selection)
-            except AlgorithmError:
-                pass  # keep the unrepaired assignment, marked infeasible below
-        cost = _selection_cost(matrices, selection, model)
-        records.append(
-            WindowRecord(
+        label = f"{window_start + 1}:{matrices.m}"
+        with _OBS.span("core.window", label=label):
+            result = choose_design_points(
+                matrices,
                 window_start=window_start,
-                label=f"{window_start + 1}:{matrices.m}",
-                cost=cost,
-                makespan=makespan,
-                feasible=makespan <= deadline + _EPS,
-                assignment=matrices.to_assignment(selection),
+                deadline=deadline,
+                weights=weights,
+                record_evaluations=record_evaluations,
             )
-        )
+            selection = result.selection
+            makespan = result.makespan
+            if makespan > deadline + _EPS and repair_infeasible:
+                try:
+                    selection = promote_until_feasible(
+                        matrices, selection, window_start, deadline
+                    )
+                    makespan = matrices.total_time(selection)
+                except AlgorithmError:
+                    pass  # keep the unrepaired assignment, marked infeasible below
+            cost = _selection_cost(matrices, selection, model)
+            records.append(
+                WindowRecord(
+                    window_start=window_start,
+                    label=label,
+                    cost=cost,
+                    makespan=makespan,
+                    feasible=makespan <= deadline + _EPS,
+                    assignment=matrices.to_assignment(selection),
+                )
+            )
 
     best = _pick_best(records, require_feasible)
     return WindowEvaluation(records=tuple(records), best=best)

@@ -218,3 +218,48 @@ class TestEvaluatorCounters:
         assert window["count"] > 0 and window["buckets"]
         volatile = RECORDER.counters_snapshot(include_volatile=True)["counters"]
         assert volatile["rt.eval.cache.hit"] + volatile["rt.eval.cache.miss"] > 0
+
+
+class TestCoreInstrumentation:
+    """The paper's algorithm: spans and counters that never change a result."""
+
+    def _solve(self, registry):
+        from repro.core import battery_aware_schedule
+        from tests.core.test_golden import solution_record
+
+        return [
+            solution_record(battery_aware_schedule(registry.get(name).build_problem()))
+            for name in ("g3", "fpga-map-reduce-4x2")
+        ]
+
+    def test_traced_solutions_bitwise_equal_untraced(self, registry):
+        untraced = self._solve(registry)
+        with recording() as rec:
+            sink = MemorySink()
+            rec.add_sink(sink)
+            traced = self._solve(registry)
+        assert traced == untraced
+        counters = rec.counters_snapshot()["counters"]
+        calls = counters["core.dpf.calls"]
+        assert calls > 0
+        # At most two certifying reference sums per candidate, plus any walk.
+        assert calls <= counters["core.dpf.exact_sums"] <= 3 * calls
+        assert counters["core.dpf.promotions"] > 0
+        spans = [span["name"] for span in sink.by_type("span")]
+        iterations = spans.count("core.iteration")
+        assert iterations > 0
+        assert spans.count("core.window") == spans.count("core.choose") >= iterations
+
+    def test_stats_lists_core_spans(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace = tmp_path / "core.jsonl"
+        argv = ["suite", "--run", "--scenarios", "g3", "--algorithms", "iterative",
+                "--trace", str(trace)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["stats", str(trace)]) == 0
+        out = capsys.readouterr().out
+        for name in ("core.iteration", "core.window", "core.choose",
+                     "core.dpf.calls", "core.dpf.promotions", "core.dpf.exact_sums"):
+            assert name in out
