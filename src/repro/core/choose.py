@@ -320,6 +320,7 @@ def choose_design_points(
         slow_prefix = np.concatenate(([0.0], np.cumsum(durations[:, m - 1]))).tolist()
         # Every free position starts at column m-1 and may take ``width``
         # steps; ``gains[p]`` is the time each of position p's steps saves.
+        # In a one-column window nothing can be promoted.
         width = m - 1 - window_start
         left = np.arange(m - 1, window_start, -1)
         gains = durations[:, left] - durations[:, left - 1]

@@ -62,7 +62,8 @@ class SequencedMatrices:
             currents[row, :] = [dp.current for dp in points]
             energies[row, :] = [dp.energy for dp in points]
 
-        #: Execution-time matrix ``D`` (rows ascending by construction).
+        #: Execution-time matrix ``D`` (rows ascending by construction; the
+        #: exactness of promotion in :mod:`repro.core.choose` relies on it).
         self.durations = durations
         #: Current matrix ``I`` (rows descending for power-monotone tasks).
         self.currents = currents

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     SequencedMatrices,
@@ -11,8 +13,18 @@ from repro.core import (
     choose_design_points,
     promote_until_feasible,
 )
+from repro.core.choose import PromotionPath
+from repro.core.factors import (
+    FactorValues,
+    current_increase_fraction,
+    current_ratio,
+    energy_ratio,
+    slack_ratio,
+    windowed_design_point_fraction,
+)
 from repro.errors import AlgorithmError
 from repro.scheduling import sequence_by_decreasing_energy
+from repro.taskgraph import DesignPoint, Task, TaskGraph
 
 
 @pytest.fixture
@@ -158,20 +170,6 @@ class TestPromoteUntilFeasible:
 # Differential test: the certified promotion routine against the original
 # step-and-re-sum loops, kept here as the oracle.
 # ---------------------------------------------------------------------------
-
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from repro.core.choose import PromotionPath  # noqa: E402
-from repro.core.factors import (  # noqa: E402
-    FactorValues,
-    current_increase_fraction,
-    current_ratio,
-    energy_ratio,
-    slack_ratio,
-    windowed_design_point_fraction,
-)
-from repro.taskgraph import DesignPoint, Task, TaskGraph  # noqa: E402
 
 _EPS = 1e-9
 

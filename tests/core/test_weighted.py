@@ -1,5 +1,11 @@
 """Unit tests for repro.core.weighted (Equation 4 re-sequencing)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core import equation4_weights, find_weighted_sequence
@@ -71,12 +77,6 @@ print(json.dumps(out, sort_keys=True))
 
 
 def _histories_under_hash_seed(seed: str) -> dict:
-    import json
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     root = Path(__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONHASHSEED=seed)
     env["PYTHONPATH"] = os.pathsep.join(
