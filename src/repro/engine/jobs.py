@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -53,7 +54,9 @@ __all__ = [
 # ----------------------------------------------------------------------
 def _canonical(value: Any) -> Any:
     """Normalise a parameter value so that equal configs produce equal JSON."""
-    if isinstance(value, Mapping):
+    # Plain dicts first: the ABC check is the slow path, and typing.Mapping
+    # slower still.
+    if isinstance(value, dict) or isinstance(value, abc.Mapping):
         return {str(k): _canonical(v) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
