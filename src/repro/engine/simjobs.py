@@ -28,7 +28,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import traceback as traceback_module
 
@@ -55,6 +55,22 @@ __all__ = [
 #: per-item memory footprint (one live simulator per lane) and keeps one
 #: huge cell splittable across pool workers.
 DEFAULT_BATCH_SIZE = 256
+
+
+def _dumps(value: Mapping[str, Any]) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(payload: bytes) -> str:
+    return hashlib.sha256(payload).hexdigest()[:24]
+
+
+class _KeyStem(NamedTuple):
+    """A Monte Carlo cell's key payload, split where the replication goes."""
+
+    head: bytes
+    tail: bytes
+    cell_key: str
 
 
 @dataclass(frozen=True)
@@ -95,6 +111,29 @@ class SimulationJob:
                 f"choose from {list(policy_names())}"
             )
         object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "_stem", self._key_stem())
+
+    def replications(self, count: int) -> Tuple["SimulationJob", ...]:
+        """This job's Monte Carlo cell: ``count`` jobs, replications ``0..count-1``.
+
+        Every returned job equals (``==``, same keys) the job built on its
+        own with that replication index, but they share this job's spec,
+        params and key stem objects: the cell is serialised once, not once
+        per replication, and a pickled batch ships the stem once.
+        """
+        if count < 0:
+            raise ConfigurationError(f"replication count must be >= 0, got {count!r}")
+        state = {
+            name: value for name, value in self.__dict__.items() if name != "_key"
+        }
+        jobs = []
+        for replication in range(count):
+            # A shallow clone: the fields are already validated and the
+            # stem does not depend on the replication index.
+            job = object.__new__(SimulationJob)
+            job.__dict__.update(state, replication=replication)
+            jobs.append(job)
+        return tuple(jobs)
 
     # ------------------------------------------------------------------
     def job_spec(self) -> Dict[str, Any]:
@@ -113,12 +152,44 @@ class SimulationJob:
             "evaluate_at": self.evaluate_at,
         }
 
+    def _key_stem(self) -> "_KeyStem":
+        """Serialise :meth:`job_spec` minus the replication, split around it.
+
+        ``json.dumps(..., sort_keys=True)`` writes the members in sorted
+        order, so the payload of the full spec is the canonical JSON of the
+        members that sort before ``"replication"``, then the replication
+        member, then the members that sort after it.  The stem holds those
+        two outer pieces (and the cell key, their concatenation's hash);
+        :meth:`key` splices the replication in between.
+        """
+        if _OBS.enabled:
+            _OBS.count("engine.simjobs.key_stems")
+        spec = self.job_spec()
+        del spec["replication"]
+        try:
+            head = _dumps({k: v for k, v in spec.items() if k < "replication"})
+            tail = _dumps({k: v for k, v in spec.items() if k > "replication"})
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"simulation job params must be JSON-serialisable: {exc}"
+            ) from None
+        head = head[:-1].encode("utf-8")  # drop the closing brace
+        tail = b"," + tail[1:].encode("utf-8")  # opening brace -> separator
+        return _KeyStem(head, tail, _digest(head + tail))
+
     def key(self) -> str:
-        """Stable content hash identifying this job across runs and machines."""
+        """Stable content hash identifying this job across runs and machines.
+
+        The SHA-256 prefix of ``json.dumps(self.job_spec(), sort_keys=True,
+        separators=(",", ":"))``, built from the shared per-cell key stem:
+        the payload is byte-for-byte that JSON, so keys never move with how
+        the job was constructed.
+        """
         cached = self.__dict__.get("_key")
         if cached is None:
-            payload = json.dumps(self.job_spec(), sort_keys=True, separators=(",", ":"))
-            cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+            head, tail, _ = self._stem
+            replication = json.dumps(self.replication).encode("utf-8")
+            cached = _digest(head + b',"replication":' + replication + tail)
             object.__setattr__(self, "_key", cached)
         return cached
 
@@ -129,16 +200,11 @@ class SimulationJob:
         same scenario, policy, parameters, seed and evaluation point.
         Exactly these may run as lockstep lanes of one
         :class:`SimulationBatch` (the perturbation stream is the only
-        per-replication input, and each lane owns its own).
+        per-replication input, and each lane owns its own).  Computed with
+        the key stem, it is the hash of :meth:`job_spec` without its
+        ``"replication"`` member, serialised like :meth:`key`'s payload.
         """
-        cached = self.__dict__.get("_cell_key")
-        if cached is None:
-            spec = self.job_spec()
-            spec.pop("replication", None)
-            payload = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-            cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
-            object.__setattr__(self, "_cell_key", cached)
-        return cached
+        return self._stem.cell_key
 
     @property
     def label(self) -> str:

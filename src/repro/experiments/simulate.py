@@ -167,17 +167,18 @@ def run_simulation_suite(
             # (and error-capture) inside the worker instead.
             replay_params[spec.name] = {"algorithm": offline_algorithm}
 
+    # One job per cell, cloned into its replications: the cell's key
+    # payload is serialised once and shared by every replication.
     jobs = [
-        SimulationJob(
+        job
+        for spec in specs
+        for policy in policy_list
+        for job in SimulationJob(
             spec=spec,
             policy=policy,
             params=replay_params[spec.name] if policy == "static-replay" else {},
             seed=seed,
-            replication=replication,
-        )
-        for spec in specs
-        for policy in policy_list
-        for replication in range(replications)
+        ).replications(replications)
     ]
     run = run_simulation_jobs(
         jobs,

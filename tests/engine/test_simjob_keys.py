@@ -15,10 +15,14 @@ Print the current values (to review a deliberate key change) with
 import dataclasses
 import hashlib
 import json
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.engine import SimulationJob
+from repro.engine import SimulationBatch, SimulationJob
+from repro.errors import ConfigurationError
 from repro.scenarios import default_registry
 
 INF = float("inf")
@@ -135,6 +139,95 @@ def test_key_follows_documented_formula(name, job):
     assert job.key() == _reference_key(spec)
     del spec["replication"]
     assert job.cell_key() == _reference_key(spec)
+
+
+# ----------------------------------------------------------------------
+# differential: the stem-built keys against the documented formula
+# ----------------------------------------------------------------------
+SPECS = [default_registry().get(name) for name in ("g3", "g3-jitter10", "tour-g3-rakhmatov-j10-noisy")]
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False),
+    st.sampled_from([float("inf"), -float("inf")]),
+    st.text(max_size=8),
+)
+values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=6), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+params_strategy = st.dictionaries(st.text(max_size=6), values, max_size=5)
+
+
+@given(
+    spec=st.sampled_from(SPECS),
+    policy=st.sampled_from(["static-replay", "greedy-energy", "battery-reactive"]),
+    params=params_strategy,
+    seed=st.integers(min_value=0, max_value=2**32),
+    replication=st.integers(min_value=0, max_value=120),
+    evaluate_at=st.sampled_from(["completion", "deadline"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_stem_keys_equal_reference_and_construction_path(
+    spec, policy, params, seed, replication, evaluate_at
+):
+    fields = dict(spec=spec, policy=policy, params=params, seed=seed, evaluate_at=evaluate_at)
+    alone = SimulationJob(replication=replication, **fields)
+    spec_dict = alone.job_spec()
+    assert alone.key() == _reference_key(spec_dict)
+    del spec_dict["replication"]
+    assert alone.cell_key() == _reference_key(spec_dict)
+
+    cell = SimulationJob(**fields).replications(replication + 1)
+    sibling = cell[replication]
+    assert sibling == alone
+    assert (sibling.key(), sibling.cell_key()) == (alone.key(), alone.cell_key())
+
+
+class TestReplications:
+    def test_cell_members_share_one_stem(self):
+        cell = SimulationJob(spec=SPECS[1], policy="greedy-energy", seed=3).replications(4)
+        assert [job.replication for job in cell] == [0, 1, 2, 3]
+        assert all(job._stem is cell[0]._stem for job in cell)
+        assert len({job.key() for job in cell}) == 4
+        assert len({job.cell_key() for job in cell}) == 1
+
+    def test_source_replication_and_cached_key_do_not_leak(self):
+        source = SimulationJob(spec=SPECS[1], policy="greedy-energy", replication=7)
+        source.key()
+        cell = source.replications(2)
+        assert [job.replication for job in cell] == [0, 1]
+        assert cell[0] == SimulationJob(spec=SPECS[1], policy="greedy-energy")
+        assert cell[0].key() == SimulationJob(spec=SPECS[1], policy="greedy-energy").key()
+        assert source.replication == 7
+
+    def test_counts(self):
+        job = SimulationJob(spec=SPECS[0], policy="greedy-energy")
+        assert job.replications(0) == ()
+        with pytest.raises(ConfigurationError):
+            job.replications(-1)
+
+    def test_pickled_batch_ships_the_stem_once(self):
+        replay = {"sequence": G3_SEQUENCE, "columns": G3_COLUMNS}
+        fields = dict(spec=SPECS[1], policy="static-replay", params=replay)
+        shared = SimulationBatch(jobs=SimulationJob(**fields).replications(50))
+        separate = SimulationBatch(
+            jobs=tuple(SimulationJob(replication=r, **fields) for r in range(50))
+        )
+        shared_bytes = pickle.dumps(shared)
+        assert len(shared_bytes) * 3 < len(pickle.dumps(separate))
+        restored = pickle.loads(shared_bytes)
+        assert [job.key() for job in restored.jobs] == [job.key() for job in separate.jobs]
+
+    def test_unserialisable_params_rejected_at_construction(self):
+        with pytest.raises(ConfigurationError, match="params"):
+            SimulationJob(spec=SPECS[0], policy="greedy-energy", params={"x": object()})
 
 
 if __name__ == "__main__":

@@ -8,7 +8,13 @@ from repro.analysis import (
     degradation_table,
     robustness_table,
 )
-from repro.engine import ParallelExecutor, ResultStore, SimulationRecord
+from repro.engine import (
+    ParallelExecutor,
+    ResultStore,
+    SimulationJob,
+    SimulationRecord,
+    run_simulation_jobs,
+)
 from repro.errors import ConfigurationError
 from repro.experiments import DEFAULT_SIM_POLICIES, run_simulation_suite
 
@@ -82,6 +88,54 @@ class TestRunSimulationSuite:
         # replayed offline schedule, bitwise-equal sigma.
         assert row.mean_cost == row.offline_cost
         assert row.degradation_percent == 0.0
+
+
+class TestResumeAcrossConstructionPaths:
+    """The suite builds each cell's jobs as shared-stem replications; a store
+    written by individually built jobs must resume through it (and back)."""
+
+    SUITE = dict(scenarios=["g3-jitter10", "g3-jitter10-fail5"], replications=2, seed=5)
+
+    @staticmethod
+    def individually_built(jobs):
+        return [
+            SimulationJob(
+                spec=job.spec,
+                policy=job.policy,
+                params=dict(job.params),
+                seed=job.seed,
+                replication=job.replication,
+                evaluate_at=job.evaluate_at,
+            )
+            for job in jobs
+        ]
+
+    @staticmethod
+    def rows(path):
+        return len(path.read_text().splitlines())
+
+    def test_individual_scalar_store_resumes_through_suite(self, small_suite, tmp_path):
+        path = tmp_path / "sim.jsonl"
+        store = ResultStore(path, record_type=SimulationRecord)
+        jobs = self.individually_built(small_suite.run.jobs)
+        written = run_simulation_jobs(jobs, store=store, resume=True, batch=False)
+        assert written.executed == len(jobs)
+        resumed = run_simulation_suite(store=store, resume=True, **self.SUITE)
+        assert (resumed.run.executed, resumed.run.skipped) == (0, len(jobs))
+        assert self.rows(path) == len(jobs)
+        assert [record.to_dict() for record in resumed.run.records] == [
+            record.to_dict() for record in written.records
+        ]
+
+    def test_suite_store_resumes_through_individual_scalar_jobs(self, small_suite, tmp_path):
+        path = tmp_path / "sim.jsonl"
+        store = ResultStore(path, record_type=SimulationRecord)
+        written = run_simulation_suite(store=store, resume=True, **self.SUITE)
+        assert written.run.executed == len(written.run.jobs)
+        jobs = self.individually_built(small_suite.run.jobs)
+        resumed = run_simulation_jobs(jobs, store=store, resume=True, batch=False)
+        assert (resumed.executed, resumed.skipped) == (0, len(jobs))
+        assert self.rows(path) == len(jobs)
 
 
 class TestRobustnessAnalysis:

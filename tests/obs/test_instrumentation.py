@@ -146,6 +146,37 @@ class TestEngineCounters:
         assert "engine.simjobs.executed" not in counters
 
 
+class TestKeyStems:
+    def test_suite_serialises_each_cell_once(self):
+        from repro.experiments import run_simulation_suite
+
+        suite = dict(
+            scenarios=["g3-jitter10", "g2-jitter10-uniform"],
+            policies=["static-replay", "greedy-energy"],
+            replications=3,
+            seed=7,
+        )
+        untraced = run_simulation_suite(**suite)
+        with recording() as rec:
+            traced = run_simulation_suite(**suite)
+        counters = rec.counters_snapshot()["counters"]
+        cells = {job.cell_key() for job in traced.run.jobs}
+        assert len(cells) == 4
+        assert counters["engine.simjobs.key_stems"] == len(cells)
+
+        def stable(records):
+            return [
+                {k: v for k, v in record.to_dict().items() if k != "elapsed_s"}
+                for record in records
+            ]
+
+        assert stable(traced.run.records) == stable(untraced.run.records)
+
+    def test_stems_not_counted_while_disabled(self, registry):
+        SimulationJob(spec=registry.get("g3-jitter10"), policy="greedy-energy")
+        assert "engine.simjobs.key_stems" not in RECORDER.counters_snapshot()["counters"]
+
+
 class TestCacheStatsMerge:
     def test_parallel_executor_aggregates_worker_stats(self, registry):
         executor = ParallelExecutor(max_workers=2)
