@@ -10,12 +10,6 @@ parametrised by time-to-end), so the whole evaluator stack — full,
 incremental and batch — is chemistry-generic.
 """
 
-from .backends import (
-    KERNEL_BACKENDS,
-    available_backends,
-    default_backend,
-    numba_available,
-)
 from .base import BatteryModel
 from .ideal import IdealBatteryModel
 from .kernels import ScheduleKernelMixin, suffix_durations
@@ -50,8 +44,4 @@ __all__ = [
     "suffix_durations",
     "DischargeTrace",
     "simulate_discharge",
-    "KERNEL_BACKENDS",
-    "available_backends",
-    "default_backend",
-    "numba_available",
 ]

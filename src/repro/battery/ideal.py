@@ -37,9 +37,6 @@ class IdealBatteryModel(ScheduleKernelMixin, BatteryModel):
     #: Contributions ignore time-to-end entirely (pure coulomb counting).
     TIME_SENSITIVE = False
 
-    #: Compiled-kernel registry name (see :mod:`repro.battery.backends`).
-    KERNEL_NAME = "ideal"
-
     def apparent_charge(self, profile: LoadProfile, at_time: Optional[float] = None) -> float:
         """Charge drawn before ``at_time`` (defaults to the end of the profile).
 

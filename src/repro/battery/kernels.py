@@ -41,7 +41,7 @@ Two class attributes describe the chemistry to the evaluator stack:
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -77,56 +77,17 @@ class ScheduleKernelMixin:
 
         class MyModel(ScheduleKernelMixin, BatteryModel): ...
 
-    The only required method is :meth:`interval_contributions`; it must be a
-    pure elementwise kernel (same-shape array in, array out) so that the
-    single-schedule and batch paths reduce the exact same per-interval
-    values.
+    The only required method is :meth:`interval_contributions`.  It is the
+    one kernel that every schedule path reduces — single-schedule, batch,
+    the incremental evaluator, the exhaustive DFS and the simulator's live
+    state — so it must be a pure elementwise kernel (same-shape array in,
+    array out) for all of them to see the exact same per-interval values.
     """
 
     #: Whether per-interval contributions depend on the time-to-end argument.
     #: ``False`` lets the incremental evaluator reuse contributions on both
     #: sides of a move and ignore evaluation-point (rest) changes.
     TIME_SENSITIVE: bool = True
-
-    #: Registry name of this chemistry's elementwise kernel in
-    #: :mod:`repro.battery.backends`; ``None`` means the chemistry has no
-    #: compiled implementation and always evaluates through numpy.
-    KERNEL_NAME: Optional[str] = None
-
-    #: Per-instance backend override: ``None`` defers to the
-    #: ``REPRO_KERNEL_BACKEND`` environment variable, ``"numpy"`` forces the
-    #: reference path, ``"numba"`` requests the compiled path (silently
-    #: falling back to numpy when numba is unavailable).
-    kernel_backend: Optional[str] = None
-
-    def _kernel_args(self) -> tuple:
-        """Chemistry constants forwarded to the compiled kernel (if any)."""
-        return ()
-
-    def _contributions(
-        self,
-        durations: "np.ndarray",
-        currents: "np.ndarray",
-        time_to_end: "np.ndarray",
-    ) -> "np.ndarray":
-        """Backend-dispatched elementwise kernel (the single seam).
-
-        Every derived schedule path reduces the values this method returns;
-        the compiled backend therefore needs to match the numpy reference
-        only here (conformance-gated bitwise-or-<=1e-12 per chemistry).
-        """
-        if self.KERNEL_NAME is not None:
-            from .backends import resolve_kernel
-
-            kernel = resolve_kernel(self.KERNEL_NAME, self.kernel_backend)
-            if kernel is not None:
-                return kernel(
-                    np.ascontiguousarray(durations, dtype=float),
-                    np.ascontiguousarray(currents, dtype=float),
-                    np.ascontiguousarray(time_to_end, dtype=float),
-                    *self._kernel_args(),
-                )
-        return self.interval_contributions(durations, currents, time_to_end)
 
     def interval_contributions(
         self,
@@ -188,7 +149,7 @@ class ScheduleKernelMixin:
         if durations.shape != currents.shape:
             raise BatteryModelError("durations and currents must have the same shape")
         tail = suffix_durations(durations)
-        return self._contributions(durations, currents, tail + rest)
+        return self.interval_contributions(durations, currents, tail + rest)
 
     def schedule_charge(
         self,
@@ -248,7 +209,7 @@ class ScheduleKernelMixin:
         tail = np.concatenate(
             (reverse[:, ::-1][:, 1:], np.zeros((durations.shape[0], 1))), axis=1
         )
-        contributions = self._contributions(
+        contributions = self.interval_contributions(
             durations.ravel(), currents.ravel(), (tail + offset).ravel()
         ).reshape(durations.shape)
         # fsum over plain floats (tolist) — bit-identical, and much faster

@@ -81,9 +81,6 @@ class KineticBatteryModel(ScheduleKernelMixin, BatteryModel):
         recovers faster and suffers less from high discharge rates.
     """
 
-    #: Compiled-kernel registry name (see :mod:`repro.battery.backends`).
-    KERNEL_NAME = "kibam"
-
     def __init__(self, c: float = 0.625, k: float = 0.05) -> None:
         if not (0.0 < c < 1.0):
             raise BatteryModelError(f"c must be strictly between 0 and 1, got {c!r}")
@@ -115,10 +112,6 @@ class KineticBatteryModel(ScheduleKernelMixin, BatteryModel):
     # ------------------------------------------------------------------
     # canonical schedule kernel (superposed closed form)
     # ------------------------------------------------------------------
-    def _kernel_args(self) -> tuple:
-        """Folded constants forwarded to the compiled kernel."""
-        return (self._neg_k_prime, self._stranded_scale)
-
     def interval_contributions(
         self,
         durations: np.ndarray,

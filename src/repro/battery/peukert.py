@@ -70,13 +70,6 @@ class PeukertModel(ScheduleKernelMixin, BatteryModel):
     #: Contributions ignore time-to-end entirely (no recovery, no history).
     TIME_SENSITIVE = False
 
-    #: Compiled-kernel registry name (see :mod:`repro.battery.backends`).
-    KERNEL_NAME = "peukert"
-
-    def _kernel_args(self) -> tuple:
-        """Folded constants forwarded to the compiled kernel."""
-        return (self.reference_current, self.exponent)
-
     def apparent_charge(self, profile: LoadProfile, at_time: Optional[float] = None) -> float:
         """Sum of per-interval effective charges applied before ``at_time``.
 

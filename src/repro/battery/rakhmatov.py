@@ -83,9 +83,6 @@ class RakhmatovVrudhulaModel(ScheduleKernelMixin, BatteryModel):
         Number of terms ``M`` kept from the infinite series (paper: 10).
     """
 
-    #: Compiled-kernel registry name (see :mod:`repro.battery.backends`).
-    KERNEL_NAME = "rakhmatov"
-
     def __init__(self, beta: float, series_terms: int = DEFAULT_SERIES_TERMS) -> None:
         if not math.isfinite(beta) or beta <= 0:
             raise BatteryModelError(f"beta must be finite and > 0, got {beta!r}")
@@ -188,10 +185,6 @@ class RakhmatovVrudhulaModel(ScheduleKernelMixin, BatteryModel):
     # ------------------------------------------------------------------
     # canonical schedule kernel (gap-free back-to-back intervals)
     # ------------------------------------------------------------------
-    def _kernel_args(self) -> tuple:
-        """Folded constants forwarded to the compiled kernel."""
-        return (self._beta2m2,)
-
     def interval_contributions(
         self,
         durations: np.ndarray,

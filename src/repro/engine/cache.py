@@ -263,10 +263,6 @@ class CachedBatteryModel(BatteryModel):
             "schedule_charge_batch",
             "contribution_floor",
             "TIME_SENSITIVE",
-            "KERNEL_NAME",
-            "kernel_backend",
-            "_kernel_args",
-            "_contributions",
         ):
             return getattr(self.inner, name)
         raise AttributeError(

@@ -21,6 +21,7 @@ True
 
 from __future__ import annotations
 
+import collections.abc
 import hashlib
 import json
 import math
@@ -43,6 +44,28 @@ FrozenParams = Tuple[Tuple[str, Any], ...]
 #: Human-readable deadline-tightness tiers (fractions of the
 #: all-fastest..all-slowest makespan span).
 TIGHTNESS_TIERS: Dict[str, float] = {"tight": 0.2, "mid": 0.5, "loose": 0.8}
+
+#: Marks a :meth:`ScenarioSpec.from_dict` field that has no default.
+_REQUIRED = object()
+
+
+def _spec_field(
+    data: Mapping[str, Any], key: str, convert: Any, default: Any = _REQUIRED
+) -> Any:
+    """``convert(data[key])`` for :meth:`ScenarioSpec.from_dict`.
+
+    A missing required field or a value ``convert`` rejects raises
+    :class:`~repro.errors.ConfigurationError` naming the field.
+    """
+    value = data.get(key, default)
+    if value is _REQUIRED:
+        raise ConfigurationError(f"scenario spec is missing the required field {key!r}")
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(
+            f"scenario spec field {key!r} has an invalid value {value!r}: {exc}"
+        ) from exc
 
 
 def _thaw_value(value: Any) -> Any:
@@ -209,8 +232,10 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"tightness must be within [0, 1], got {self.tightness!r}"
             )
-        if self.jitter < 0:
-            raise ConfigurationError(f"jitter must be >= 0, got {self.jitter!r}")
+        if not math.isfinite(self.jitter) or self.jitter < 0:
+            raise ConfigurationError(
+                f"jitter must be finite and >= 0, got {self.jitter!r}"
+            )
         if self.jitter_model not in ("lognormal", "uniform"):
             # Kept in sync with repro.sim.perturbation.JITTER_MODELS (not
             # imported here: scenarios sit below the sim layer).
@@ -235,9 +260,9 @@ class ScenarioSpec:
                 "choose from ('exact', 'blind', 'mean', 'noisy')"
             )
         if self.imode == "noisy":
-            if not self.imode_rel_error > 0:
+            if not (math.isfinite(self.imode_rel_error) and self.imode_rel_error > 0):
                 raise ConfigurationError(
-                    "a noisy information mode needs imode_rel_error > 0, "
+                    "a noisy information mode needs a finite imode_rel_error > 0, "
                     f"got {self.imode_rel_error!r}"
                 )
         else:
@@ -456,26 +481,34 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec from its :meth:`to_dict` form."""
+        """Rebuild a spec from its :meth:`to_dict` form.
+
+        Malformed input raises :class:`~repro.errors.ConfigurationError`
+        naming the bad field (a missing ``name``, ``seed: "a"``, ...).
+        """
+        if not isinstance(data, collections.abc.Mapping):
+            raise ConfigurationError(
+                f"a scenario spec must be a mapping, got {type(data).__name__}"
+            )
         return cls(
-            name=str(data["name"]),
-            family=str(data["family"]),
-            family_params=dict(data.get("family_params", {})),
-            seed=int(data.get("seed", 0)),
-            tightness=float(data.get("tightness", 0.5)),
-            platform=str(data.get("platform", "voltage-scaling")),
-            platform_params=dict(data.get("platform_params", {})),
-            chemistry=str(data.get("chemistry", "rakhmatov")),
-            chemistry_params=dict(data.get("chemistry_params", {})),
-            beta=float(data.get("beta", PAPER_BETA)),
-            jitter=float(data.get("jitter", 0.0)),
-            jitter_model=str(data.get("jitter_model", "lognormal")),
-            failure_rate=float(data.get("failure_rate", 0.0)),
-            imode=str(data.get("imode", "exact")),
-            imode_rel_error=float(data.get("imode_rel_error", 0.0)),
-            imode_seed=int(data.get("imode_seed", 0)),
-            optimize=str(data.get("optimize", "")),
-            description=str(data.get("description", "")),
+            name=_spec_field(data, "name", str),
+            family=_spec_field(data, "family", str),
+            family_params=_spec_field(data, "family_params", dict, {}),
+            seed=_spec_field(data, "seed", int, 0),
+            tightness=_spec_field(data, "tightness", float, 0.5),
+            platform=_spec_field(data, "platform", str, "voltage-scaling"),
+            platform_params=_spec_field(data, "platform_params", dict, {}),
+            chemistry=_spec_field(data, "chemistry", str, "rakhmatov"),
+            chemistry_params=_spec_field(data, "chemistry_params", dict, {}),
+            beta=_spec_field(data, "beta", float, PAPER_BETA),
+            jitter=_spec_field(data, "jitter", float, 0.0),
+            jitter_model=_spec_field(data, "jitter_model", str, "lognormal"),
+            failure_rate=_spec_field(data, "failure_rate", float, 0.0),
+            imode=_spec_field(data, "imode", str, "exact"),
+            imode_rel_error=_spec_field(data, "imode_rel_error", float, 0.0),
+            imode_seed=_spec_field(data, "imode_seed", int, 0),
+            optimize=_spec_field(data, "optimize", str, ""),
+            description=_spec_field(data, "description", str, ""),
         )
 
     def with_tightness(self, tightness: float, name: str = "") -> "ScenarioSpec":

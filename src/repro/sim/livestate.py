@@ -184,7 +184,7 @@ class LiveRuntimeState:
         """
         if not self._pending_durations:
             return
-        contributions = self._model._contributions(
+        contributions = self._model.interval_contributions(
             np.asarray(self._pending_durations),
             np.asarray(self._pending_currents),
             np.zeros(len(self._pending_durations)),

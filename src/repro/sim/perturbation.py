@@ -30,6 +30,7 @@ True
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
@@ -83,8 +84,10 @@ class PerturbationModel:
     max_retries: int = 16
 
     def __post_init__(self) -> None:
-        if self.jitter < 0:
-            raise ConfigurationError(f"jitter must be >= 0, got {self.jitter!r}")
+        if not math.isfinite(self.jitter) or self.jitter < 0:
+            raise ConfigurationError(
+                f"jitter must be finite and >= 0, got {self.jitter!r}"
+            )
         if self.jitter_model not in JITTER_MODELS:
             raise ConfigurationError(
                 f"unknown jitter model {self.jitter_model!r}; "

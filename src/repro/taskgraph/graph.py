@@ -14,6 +14,7 @@ for users who want to run graph analytics or draw the DAG.
 
 from __future__ import annotations
 
+import collections.abc
 import heapq
 from typing import (
     Any,
@@ -361,12 +362,49 @@ class TaskGraph:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TaskGraph":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Malformed input raises :class:`~repro.errors.TaskGraphError` naming
+        the bad field: ``data`` that is not an object, ``tasks`` missing or
+        not a list of task objects, ``edges`` not a list of
+        ``[parent, child]`` name pairs.
+        """
+        if not isinstance(data, collections.abc.Mapping):
+            raise TaskGraphError(
+                f"a task graph must be an object, got {type(data).__name__}"
+            )
+        if "tasks" not in data:
+            raise TaskGraphError("task graph is missing the required field 'tasks'")
+        tasks = data["tasks"]
+        if not isinstance(tasks, (list, tuple)):
+            raise TaskGraphError(
+                f"task graph field 'tasks' must be a list, got {tasks!r}"
+            )
+        edges = data.get("edges", ())
+        if not isinstance(edges, (list, tuple)):
+            raise TaskGraphError(
+                f"task graph field 'edges' must be a list, got {edges!r}"
+            )
         graph = cls(name=str(data.get("name", "")))
-        for task_data in data["tasks"]:
-            graph.add_task(Task.from_dict(task_data))
-        for parent, child in data.get("edges", ()):
-            graph.add_edge(parent, child)
+        for index, task_data in enumerate(tasks):
+            try:
+                task = Task.from_dict(task_data)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TaskGraphError(
+                    f"task graph field 'tasks[{index}]' is malformed: {exc!r}"
+                ) from exc
+            graph.add_task(task)
+        for index, edge in enumerate(edges):
+            if not (
+                isinstance(edge, (list, tuple))
+                and len(edge) == 2
+                and all(isinstance(name, str) for name in edge)
+            ):
+                raise TaskGraphError(
+                    f"task graph field 'edges[{index}]' must be a "
+                    f"[parent, child] pair of task names, got {edge!r}"
+                )
+            graph.add_edge(*edge)
         return graph
 
     def __repr__(self) -> str:

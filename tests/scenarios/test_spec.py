@@ -1,6 +1,8 @@
 """Unit tests for ScenarioSpec: validation, building, hashing, round-trips."""
 
+import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -185,6 +187,41 @@ class TestIdentity:
         assert len({make_spec(), make_spec(), make_spec(seed=6)}) == 2
 
 
+    def test_catalogue_content_hashes_pinned(self):
+        # Digest of every catalogue spec's (name, content_hash), pinned
+        # before the non-finite checks and typed from_dict errors existed:
+        # validation must never move an identity.
+        from repro.scenarios import default_registry
+
+        rows = "\n".join(
+            f"{spec.name} {spec.content_hash()}" for spec in default_registry()
+        )
+        assert hashlib.sha256(rows.encode()).hexdigest()[:16] == "f151e77db4101950"
+
+
+class TestFromDictErrors:
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({}, "'name'"),
+            ({"name": "x"}, "'family'"),
+            ({"name": "x", "family": "chain", "seed": "a"}, "'seed'"),
+            ({"name": "x", "family": "chain", "seed": math.inf}, "'seed'"),
+            ({"name": "x", "family": "chain", "seed": None}, "'seed'"),
+            ({"name": "x", "family": "chain", "tightness": "tight"}, "'tightness'"),
+            ({"name": "x", "family": "chain", "family_params": 5}, "'family_params'"),
+            ({"name": "x", "family": "chain", "platform_params": "ab"}, "'platform_params'"),
+            ({"name": "x", "family": "chain", "jitter": [0.1]}, "'jitter'"),
+            ({"name": "x", "family": "chain", "imode_seed": "s"}, "'imode_seed'"),
+            ([], "mapping"),
+            ("g3", "mapping"),
+        ],
+    )
+    def test_typed_error_names_the_field(self, data, field):
+        with pytest.raises(ConfigurationError, match=field):
+            ScenarioSpec.from_dict(data)
+
+
 class TestCrossProcessDeterminism:
     """Same spec -> identical problem content hash in a different process."""
 
@@ -241,6 +278,18 @@ class TestStochasticTier:
             make_spec(jitter=1.5, jitter_model="uniform")
         make_spec(jitter=1.5)  # lognormal jitter has no upper bound
 
+    @pytest.mark.parametrize("jitter", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("jitter_model", ["lognormal", "uniform"])
+    def test_non_finite_jitter_rejected(self, jitter, jitter_model):
+        # NaN slipped past `jitter < 0` and was content-hashed; a simulation
+        # of such a spec then reported sigma = nan as a successful result.
+        with pytest.raises(ConfigurationError, match="jitter"):
+            make_spec(jitter=jitter, jitter_model=jitter_model)
+        data = make_spec().to_dict()
+        data.update(jitter=jitter, jitter_model=jitter_model)
+        with pytest.raises(ConfigurationError, match="jitter"):
+            ScenarioSpec.from_dict(data)
+
     def test_perturbation_builder(self):
         spec = make_spec(jitter=0.2, jitter_model="uniform", failure_rate=0.05)
         assert spec.has_perturbation
@@ -292,6 +341,11 @@ class TestInformationModeTier:
             make_spec(imode="noisy")
         with pytest.raises(ConfigurationError, match="rel_error"):
             make_spec(imode="noisy", imode_rel_error=-0.1)
+        for rel_error in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="rel_error"):
+                make_spec(imode="noisy", imode_rel_error=rel_error)
+            with pytest.raises(ConfigurationError, match="rel_error"):
+                make_spec(imode="blind", imode_rel_error=rel_error)
         # Noise parameters are meaningless outside noisy mode and must
         # not silently vanish from the identity.
         with pytest.raises(ConfigurationError):

@@ -18,6 +18,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             PerturbationModel(jitter=-0.1)
 
+    @pytest.mark.parametrize("jitter", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("jitter_model", JITTER_MODELS)
+    def test_non_finite_jitter_rejected(self, jitter, jitter_model):
+        with pytest.raises(ConfigurationError, match="jitter"):
+            PerturbationModel(jitter=jitter, jitter_model=jitter_model)
+        with pytest.raises(ConfigurationError, match="jitter"):
+            PerturbationModel.from_dict({"jitter": jitter, "jitter_model": jitter_model})
+
     def test_unknown_distribution_rejected(self):
         with pytest.raises(ConfigurationError):
             PerturbationModel(jitter=0.1, jitter_model="cauchy")

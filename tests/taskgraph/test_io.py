@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.errors import TaskGraphError
 from repro.taskgraph import load_json, save_json, to_dot
 from repro.taskgraph.io import dumps, loads
 
@@ -44,6 +47,36 @@ class TestJson:
         recovered = restored.task("A").ordered_design_points()
         assert [dp.execution_time for dp in original] == [dp.execution_time for dp in recovered]
         assert [dp.current for dp in original] == [dp.current for dp in recovered]
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("[]", "object"),
+            ("5", "object"),
+            ("{}", "'tasks'"),
+            ('{"tasks": 5}', "'tasks'"),
+            ('{"tasks": {}}', "'tasks'"),
+            ('{"tasks": [5]}', r"'tasks\[0\]'"),
+            ('{"tasks": [{}]}', r"'tasks\[0\]'"),
+            ('{"tasks": [], "edges": 5}', "'edges'"),
+            ('{"tasks": [], "edges": [5]}', r"'edges\[0\]'"),
+            ('{"tasks": [], "edges": [["a"]]}', r"'edges\[0\]'"),
+            ('{"tasks": [], "edges": [["a", "b", "c"]]}', r"'edges\[0\]'"),
+            ('{"tasks": [], "edges": [[["a"], "b"]]}', r"'edges\[0\]'"),
+        ],
+    )
+    def test_typed_error_names_the_field(self, text, field):
+        with pytest.raises(TaskGraphError, match=field):
+            loads(text)
+
+    def test_tuples_accepted_like_lists(self):
+        graph = small_graph()
+        data = graph.to_dict()
+        data["tasks"] = tuple(data["tasks"])
+        data["edges"] = tuple(tuple(edge) for edge in data["edges"])
+        assert TaskGraph.from_dict(data).to_dict() == graph.to_dict()
 
 
 class TestDot:
