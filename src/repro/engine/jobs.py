@@ -159,6 +159,21 @@ class Job:
 # ----------------------------------------------------------------------
 # the job result
 # ----------------------------------------------------------------------
+def _check_record(data: Any, kind: str, required: Tuple[str, ...]) -> None:
+    """Require ``data`` to be a stored record: a mapping holding ``required``.
+
+    Anything else raises :class:`~repro.errors.ConfigurationError` naming
+    the missing field (or the non-object value).
+    """
+    if not isinstance(data, abc.Mapping):
+        raise ConfigurationError(
+            f"a {kind} must be a JSON object, got {type(data).__name__}"
+        )
+    for name in required:
+        if name not in data:
+            raise ConfigurationError(f"{kind} is missing the required field {name!r}")
+
+
 @dataclass(frozen=True)
 class JobResult:
     """Outcome of executing one :class:`Job`.
@@ -219,6 +234,7 @@ class JobResult:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobResult":
         """Rebuild a result from its :meth:`to_dict` form."""
+        _check_record(data, "job result", ("key", "algorithm"))
         sequence = data.get("sequence")
         assignment = data.get("assignment")
         return cls(

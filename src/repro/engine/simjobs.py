@@ -37,7 +37,7 @@ from ..obs import RECORDER as _OBS
 from ..scenarios import ScenarioSpec
 from .cache import BatteryCostCache, CachedBatteryModel
 from .executors import SerialExecutor, _job_metrics, _worker_cache
-from .jobs import _canonical
+from .jobs import _canonical, _check_record
 from .store import ResultStore
 
 __all__ = [
@@ -287,6 +287,7 @@ class SimulationRecord:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SimulationRecord":
         """Rebuild a record from its :meth:`to_dict` form."""
+        _check_record(data, "simulation record", ("key", "scenario", "policy"))
         return cls(
             key=str(data["key"]),
             scenario=str(data["scenario"]),

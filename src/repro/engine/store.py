@@ -9,7 +9,8 @@ executes the remainder.
 
 Append-only means a key can legitimately appear more than once (a retried
 failure, a forced re-run); the last line wins on load.  Lines that fail to
-parse — e.g. the torn final line of an interrupted run — are counted and
+parse — e.g. the torn final line of an interrupted run — or that hold no
+record (a non-object, a missing key) are counted in ``corrupt_lines`` and
 skipped, never fatal.
 """
 
@@ -19,6 +20,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Set, Tuple, Union
 
+from ..errors import ConfigurationError
 from .jobs import Job, JobResult
 
 __all__ = ["ResultStore"]
@@ -61,7 +63,7 @@ class ResultStore:
                     continue
                 try:
                     result = self.record_type.from_dict(json.loads(line))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                except (json.JSONDecodeError, ConfigurationError, TypeError, ValueError):
                     self.corrupt_lines += 1
                     continue
                 results[result.key] = result

@@ -111,16 +111,6 @@ REGISTRY: Tuple[BenchSpec, ...] = (
             GateSpec("overhead/overhead_factor", higher_is_better=False, threshold=0.15),
         ),
     ),
-    BenchSpec(
-        name="graph",
-        script="bench_graph.py",
-        report="BENCH_graph.json",
-        description="task-graph hot paths + optimization conformance",
-        gates=(
-            GateSpec("hot_paths/topological_order/speedup", threshold=0.5),
-            GateSpec("hot_paths/edges/speedup", threshold=0.5),
-        ),
-    ),
 )
 
 

@@ -232,6 +232,10 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"tightness must be within [0, 1], got {self.tightness!r}"
             )
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ConfigurationError(
+                f"beta must be finite and > 0, got {self.beta!r}"
+            )
         if not math.isfinite(self.jitter) or self.jitter < 0:
             raise ConfigurationError(
                 f"jitter must be finite and >= 0, got {self.jitter!r}"

@@ -63,6 +63,15 @@ class TestRefineSolution:
         with pytest.raises(ConfigurationError):
             refine_solution(g2_problem, solution, max_sweeps=0)
 
+    def test_never_worse_on_table4_instances(self):
+        from repro.experiments import table4_problems
+
+        for problem in table4_problems():
+            solution = battery_aware_schedule(problem)
+            refined = refine_solution(problem, solution)
+            assert refined.cost <= solution.cost + 1e-9, problem.name
+            assert refined.makespan <= problem.deadline + 1e-9, problem.name
+
     @pytest.mark.parametrize("tightness", [0.3, 0.7])
     def test_on_synthetic_workloads(self, tightness):
         graph = layered_graph(num_layers=3, layer_width=3, seed=23, name="layered")

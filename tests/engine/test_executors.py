@@ -1,5 +1,8 @@
 """Tests for the serial and process-parallel executors."""
 
+import os
+import time
+
 import pytest
 
 from repro import BatterySpec, SchedulingProblem
@@ -12,6 +15,7 @@ from repro.engine import (
     execute_job,
 )
 from repro.errors import ConfigurationError
+from repro.experiments import SWEEP_ALGORITHMS
 from repro.taskgraph import build_g2
 from repro.workloads import suite_problems
 
@@ -65,7 +69,10 @@ class TestSerialExecutor:
     def test_cache_persists_across_jobs(self, jobs):
         executor = SerialExecutor()
         results = executor.run(jobs)
-        assert sum(result.cache_hits for result in results) > 0
+        hits = sum(result.cache_hits for result in results)
+        misses = sum(result.cache_misses for result in results)
+        assert hits > 0
+        assert hits / (hits + misses) > 0.10
 
     def test_progress_callback_counts_up(self, jobs):
         seen = []
@@ -104,6 +111,27 @@ class TestParallelExecutor:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ConfigurationError):
             ParallelExecutor(max_workers=0)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 4, reason="needs at least 4 cores")
+    def test_four_workers_at_least_halve_the_wall_time(self):
+        jobs = build_jobs(
+            suite_problems(tightness_levels=(0.2, 0.4, 0.6, 0.8)),
+            [engine for _, engine in SWEEP_ALGORITHMS],
+        )
+        started = time.perf_counter()
+        serial = SerialExecutor().run(jobs)
+        serial_wall = time.perf_counter() - started
+        if serial_wall < 1.0:
+            pytest.skip(
+                f"serial batch too short to amortise pool start-up ({serial_wall:.2f} s)"
+            )
+        started = time.perf_counter()
+        parallel = ParallelExecutor(max_workers=4).run(jobs)
+        parallel_wall = time.perf_counter() - started
+        assert _comparable(parallel) == _comparable(serial)
+        assert serial_wall >= 2.0 * parallel_wall, (
+            f"serial {serial_wall:.2f} s vs 4 workers {parallel_wall:.2f} s"
+        )
 
 
 class TestDefaultExecutor:

@@ -2,8 +2,11 @@
 
 import json
 
+import pytest
+
 from repro import SchedulingProblem
-from repro.engine import Job, JobResult, ResultStore, build_jobs
+from repro.engine import Job, JobResult, ResultStore, SimulationRecord, build_jobs
+from repro.errors import ConfigurationError
 from repro.taskgraph import build_g2
 
 
@@ -54,6 +57,37 @@ class TestResultStore:
         loaded = store.load()
         assert set(loaded) == {"k1", "k2"}
         assert store.corrupt_lines == 2
+
+    @pytest.mark.parametrize(
+        "line, field",
+        [
+            ("[1, 2]", "JSON object"),
+            ("5", "JSON object"),
+            ("null", "JSON object"),
+            ('"x"', "JSON object"),
+            ('{"scenario": "s", "policy": "p", "algorithm": "a"}', "'key'"),
+        ],
+        ids=["list", "number", "null", "string", "missing-key"],
+    )
+    @pytest.mark.parametrize(
+        "record",
+        [
+            make_result("k"),
+            SimulationRecord(key="k", scenario="s", policy="p", cost=1.0),
+        ],
+        ids=["job-result", "simulation-record"],
+    )
+    def test_non_record_lines_are_counted_and_skipped(self, tmp_path, line, field, record):
+        record_type = type(record)
+        with pytest.raises(ConfigurationError, match=field):
+            record_type.from_dict(json.loads(line))
+        path = tmp_path / "results.jsonl"
+        store = ResultStore(path, record_type=record_type)
+        store.append(record)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        assert set(store.load()) == {"k"}
+        assert store.corrupt_lines == 1
 
     def test_append_many_writes_every_row(self, tmp_path):
         store = ResultStore(tmp_path / "results.jsonl")

@@ -307,7 +307,18 @@ class TestDocsCommand:
         assert main(["docs", "--out", str(out_dir)]) == 0
         capsys.readouterr()
         assert (out_dir / "scenarios.md").exists()
-        assert (out_dir / "leaderboard.md").exists()
+        # The leaderboard page is one full default suite run: every
+        # deterministic scenario x every default algorithm, none failing.
+        from repro.experiments import DEFAULT_SUITE_ALGORITHMS
+        from repro.scenarios import default_registry
+
+        scenarios = len(default_registry().select(stochastic=False))
+        leaderboard = (out_dir / "leaderboard.md").read_text()
+        assert (
+            f"{scenarios} scenarios x {len(DEFAULT_SUITE_ALGORITHMS)} algorithms"
+            in leaderboard
+        )
+        assert "; 0 failed jobs." in leaderboard
         assert main(["docs", "--check", "--out", str(out_dir)]) == 0
         out = capsys.readouterr().out
         assert "docs check OK" in out

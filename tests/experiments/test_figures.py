@@ -76,7 +76,9 @@ class TestFigure5AndTable1:
         assert all(ok_column)
         assert len(report.rows) == 15 + 9
 
-    def test_g2_dot_contains_every_node(self):
+    def test_g2_dot_contains_every_node_and_edge(self, g2):
         dot = g2_dot()
         for index in range(1, 10):
             assert f'"N{index}"' in dot
+        for parent, child in g2.edges():
+            assert f'"{parent}" -> "{child}"' in dot

@@ -75,10 +75,10 @@ class TestExtractMetric:
         assert extract_metric(self.REPORT, "a") is None
 
     def test_gated_metrics_maps_every_gate(self):
-        spec = get_bench("graph")
-        metrics = gated_metrics(spec, {"hot_paths": {"edges": {"speedup": 40.0}}})
-        assert metrics["hot_paths/edges/speedup"] == 40.0
-        assert metrics["hot_paths/topological_order/speedup"] is None
+        spec = get_bench("cost")
+        metrics = gated_metrics(spec, {"refine": {"speedup": 40.0}})
+        assert metrics["refine/speedup"] == 40.0
+        assert metrics["annealing/rakhmatov/speedup"] is None
 
 
 def doctor(baseline, path, factor):
@@ -200,14 +200,14 @@ class TestRenderDocs:
 
     def test_history_rows_rendered(self):
         entry = {
-            "bench": "graph",
+            "bench": "cost",
             "mode": "full",
             "verdict": "pass",
             "git_sha": "abc123def456",
             "started_unix": 1754000000,
             "metrics": {
-                "hot_paths/topological_order/speedup": 5074.0,
-                "hot_paths/edges/speedup": 42.2,
+                "annealing/rakhmatov/speedup": 5074.0,
+                "refine/speedup": 42.2,
             },
         }
         page = render_benchmarks_md([entry])
@@ -225,13 +225,13 @@ class TestRunObservatory:
             assert f"bench {spec.name}: check PASS" in text
 
     def test_check_flags_doctored_reports_dir(self, baselines, tmp_path):
-        spec = get_bench("graph")
+        spec = get_bench("cost")
         gate = spec.gates[0]
-        report = doctor(baselines["graph"], gate.path, 0.1)
+        report = doctor(baselines["cost"], gate.path, 0.1)
         (tmp_path / spec.report).write_text(json.dumps(report))
         lines = []
         code = run_observatory(
-            names=["graph"], check=True, reports_dir=tmp_path, log=lines.append
+            names=["cost"], check=True, reports_dir=tmp_path, log=lines.append
         )
         assert code == 1
         assert any("REGRESSED" in line for line in lines)
@@ -253,23 +253,23 @@ class TestRunObservatory:
 class TestObservatoryRunsDriver(object):
     """One real smoke run through run_bench + history append."""
 
-    def test_smoke_run_graph(self, tmp_path, capsys):
+    def test_smoke_run_obs(self, tmp_path, capsys):
         history = tmp_path / "h.jsonl"
         code = run_observatory(
-            names=["graph"], smoke=True, run=True, check=True,
+            names=["obs"], smoke=True, run=True, check=True,
             history=history, reports_dir=tmp_path, log=lambda _line: None,
         )
         capsys.readouterr()  # the driver prints its own tables
         assert code == 0
-        report = json.loads((tmp_path / "BENCH_graph.json").read_text())
+        report = json.loads((tmp_path / "BENCH_obs.json").read_text())
         assert report["mode"] == "smoke"
         (entry,) = load_history(history)
-        assert entry["bench"] == "graph"
+        assert entry["bench"] == "obs"
         assert entry["mode"] == "smoke"
         assert entry["driver_exit"] == 0
         assert entry["verdict"] == "pass"
         assert entry["env"]["python"]
-        assert entry["metrics"]["hot_paths/edges/speedup"] > 0
+        assert entry["metrics"]["overhead/overhead_factor"] > 0
 
 
 class TestBenchCLI:

@@ -45,6 +45,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="name"):
             make_spec(name="")
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_non_positive_or_non_finite_beta_rejected(self, beta):
+        # Rejected at construction, before the spec is content-hashed, not
+        # later inside build_problem as a BatteryModelError.
+        with pytest.raises(ConfigurationError, match="beta"):
+            make_spec(beta=beta)
+        data = make_spec().to_dict()
+        data["beta"] = beta
+        with pytest.raises(ConfigurationError, match="beta"):
+            ScenarioSpec.from_dict(data)
+
     def test_params_accept_mapping_and_pairs(self):
         from_mapping = make_spec()
         from_pairs = make_spec(
