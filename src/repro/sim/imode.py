@@ -44,11 +44,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..taskgraph import GraphMemo
 
 __all__ = ["INFORMATION_MODES", "InformationMode", "GraphBeliefs", "resolve_beliefs"]
 
@@ -254,8 +254,8 @@ def _column_mean(modeled, names, column: int) -> float:
     return math.fsum(values) / len(values)
 
 
-#: graph -> {mode token: GraphBeliefs}; weakly keyed so graphs die normally.
-_BELIEFS_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
+#: graph -> {mode token: GraphBeliefs}, per graph version.
+_BELIEFS_MEMO = GraphMemo()
 
 
 def resolve_beliefs(graph, mode: Optional[InformationMode]) -> Optional[GraphBeliefs]:
@@ -268,10 +268,7 @@ def resolve_beliefs(graph, mode: Optional[InformationMode]) -> Optional[GraphBel
     """
     if mode is None or mode.is_exact:
         return None
-    try:
-        per_graph = _BELIEFS_MEMO.setdefault(graph, {})
-    except TypeError:  # unhashable/unweakrefable graph stand-in: no memo
-        return GraphBeliefs(graph, mode)
+    per_graph = _BELIEFS_MEMO.get(graph, dict)
     beliefs = per_graph.get(mode.token)
     if beliefs is None:
         beliefs = per_graph[mode.token] = GraphBeliefs(graph, mode)

@@ -39,7 +39,6 @@ import bisect
 import math
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -48,6 +47,7 @@ from ..errors import SimulationError
 from ..obs import RECORDER as _OBS
 from ..scheduling import SchedulingProblem
 from ..scheduling.evaluator import _resolve_rest
+from ..taskgraph import GraphMemo
 import time as _time
 
 from .events import TaskRuntimeInfo, TaskState, VirtualClock
@@ -65,13 +65,12 @@ _EPS = 1e-9
 class _GraphTables:
     """Per-graph lookup tables every simulator over that graph shares.
 
-    All of these are pure functions of the (immutable-in-practice) task
-    graph, yet used to be rebuilt in every ``Simulator.__init__`` — a cost
-    replication loops and batch lanes pay per run for identical answers.
+    All of these are pure functions of the task graph at one version, yet
+    used to be rebuilt in every ``Simulator.__init__`` — a cost replication
+    loops and batch lanes pay per run for identical answers.
     """
 
     __slots__ = (
-        "num_tasks",
         "rank",
         "successors",
         "min_times",
@@ -84,7 +83,6 @@ class _GraphTables:
 
     def __init__(self, graph) -> None:
         names = graph.task_names()
-        self.num_tasks = graph.num_tasks
         self.rank = {name: index for index, name in enumerate(names)}
         self.successors: Dict[str, Tuple[str, ...]] = {
             name: tuple(sorted(graph.successors(name), key=self.rank.__getitem__))
@@ -115,23 +113,11 @@ class _GraphTables:
         self.remaining_partials = ExactSum(self.min_times.values()).partials
 
 
-_GRAPH_TABLES: "WeakKeyDictionary" = WeakKeyDictionary()
+_GRAPH_TABLES = GraphMemo()
 
 
 def _graph_tables(graph) -> _GraphTables:
-    try:
-        tables = _GRAPH_TABLES.get(graph)
-    except TypeError:  # unhashable/unweakrefable graph stand-in: no memo
-        return _GraphTables(graph)
-    # ``num_tasks`` guards against a graph mutated after memoisation, the
-    # same defence the schedulers' sequence-validation memo uses.
-    if tables is None or tables.num_tasks != graph.num_tasks:
-        tables = _GraphTables(graph)
-        try:
-            _GRAPH_TABLES[graph] = tables
-        except TypeError:  # pragma: no cover - get() above already filtered
-            pass
-    return tables
+    return _GRAPH_TABLES.get(graph, lambda: _GraphTables(graph))
 
 
 class Simulator:

@@ -45,11 +45,10 @@ from __future__ import annotations
 import heapq
 import math
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
 from ..errors import ConfigurationError, SimulationError
 from ..scheduling import SchedulingProblem
-from ..taskgraph import validate_sequence
+from ..taskgraph import GraphMemo, validate_sequence
 
 __all__ = [
     "Scheduler",
@@ -138,25 +137,18 @@ class Scheduler:
         return feasible or [0]
 
 
-#: Graph -> set of (num_tasks, sequence) pairs already validated.  Replaying
-#: the same schedule on the same graph across replications (the batch
-#: simulator's entire workload, and any replication loop) re-validates a
-#: pure function of unchanged inputs; this memo makes the repeat binds O(1).
-#: Weakly keyed so graphs die normally; ``num_tasks`` in the entry guards
-#: against a graph growing after validation.
-_VALIDATED_SEQUENCES: "WeakKeyDictionary" = WeakKeyDictionary()
+#: Graph -> set of sequences already validated.  Replaying the same schedule
+#: on the same graph across replications (the batch simulator's entire
+#: workload, and any replication loop) re-validates a pure function of
+#: unchanged inputs; this memo makes the repeat binds O(1).
+_VALIDATED_SEQUENCES = GraphMemo()
 
 
 def _validate_sequence_once(graph, sequence: Tuple[str, ...]) -> None:
-    try:
-        seen = _VALIDATED_SEQUENCES.setdefault(graph, set())
-    except TypeError:  # unhashable/unweakrefable graph stand-in: no memo
+    seen = _VALIDATED_SEQUENCES.get(graph, set)
+    if sequence not in seen:
         validate_sequence(graph, sequence)
-        return
-    entry = (graph.num_tasks, sequence)
-    if entry not in seen:
-        validate_sequence(graph, sequence)
-        seen.add(entry)
+        seen.add(sequence)
 
 
 class StaticReplayScheduler(Scheduler):
@@ -203,11 +195,11 @@ class StaticReplayScheduler(Scheduler):
 #: batch-simulator lane) re-bind fresh policy instances to the same graph;
 #: without the memo each bind recomputes an O(graph) — for deadline-slack
 #: O(graph^2) — priority table that never changes.
-_WEIGHTS_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
+_WEIGHTS_MEMO = GraphMemo()
 
 #: Graph -> {task name: execution-time tuple}.  Policy-independent and
 #: read-only, so every bind on the same graph shares one dict.
-_TIMES_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
+_TIMES_MEMO = GraphMemo()
 
 
 class _OnlineScheduler(Scheduler):
@@ -255,17 +247,9 @@ class _OnlineScheduler(Scheduler):
             return
         #: Per-task design-point rows, shared per graph across binds.
         graph = simulator.graph
-        try:
-            times = _TIMES_MEMO.get(graph)
-        except TypeError:  # unweakrefable graph stand-in: no memo
-            times = None
-        if times is None:
-            times = {task.name: task.execution_times() for task in graph}
-            try:
-                _TIMES_MEMO[graph] = times
-            except TypeError:
-                pass
-        self._times = times
+        self._times = _TIMES_MEMO.get(
+            graph, lambda: {task.name: task.execution_times() for task in graph}
+        )
 
     def _build_order(self, weights: Dict[str, float]) -> Dict[str, tuple]:
         rank = self._rank
@@ -275,12 +259,7 @@ class _OnlineScheduler(Scheduler):
         if not self.WEIGHTS_GRAPH_PURE:
             weights = self.task_weights()
             return weights, self._build_order(weights)
-        graph = self.simulator.graph
-        try:
-            per_graph = _WEIGHTS_MEMO.setdefault(graph, {})
-        except TypeError:  # unweakrefable graph stand-in: no memo
-            weights = self.task_weights()
-            return weights, self._build_order(weights)
+        per_graph = _WEIGHTS_MEMO.get(self.simulator.graph, dict)
         # Belief-mode weights are a pure function of (graph, mode), so the
         # memo key grows the mode token; the exact-mode key stays the bare
         # qualname, preserving (and sharing) every pre-imode entry.

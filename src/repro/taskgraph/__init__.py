@@ -8,7 +8,7 @@ and verbatim builders for the paper's two evaluation graphs G2 and G3.
 """
 
 from .designpoint import DesignPoint
-from .graph import TaskGraph
+from .graph import GraphMemo, TaskGraph
 from .io import load_json, save_json, to_dot
 from .library import (
     G2_EDGES,
@@ -61,6 +61,7 @@ __all__ = [
     "DesignPoint",
     "Task",
     "TaskGraph",
+    "GraphMemo",
     "save_json",
     "load_json",
     "to_dot",

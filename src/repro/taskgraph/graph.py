@@ -18,6 +18,7 @@ import collections.abc
 import heapq
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -28,13 +29,17 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    TypeVar,
 )
+from weakref import WeakKeyDictionary
 
 from ..errors import CyclicGraphError, TaskGraphError, UnknownTaskError
 from .designpoint import DesignPoint
 from .task import Task
 
-__all__ = ["TaskGraph"]
+__all__ = ["TaskGraph", "GraphMemo"]
+
+_T = TypeVar("_T")
 
 
 class TaskGraph:
@@ -69,6 +74,7 @@ class TaskGraph:
         # insertion-order sorts are O(1) per key instead of the O(n)
         # list.index lookup they used to pay.
         self._position: Dict[str, int] = {}
+        self._version = 0
         for task in tasks or ():
             self.add_task(task)
         for parent, child in edges or ():
@@ -88,6 +94,7 @@ class TaskGraph:
         self._predecessors[task.name] = set()
         self._position[task.name] = len(self._order)
         self._order.append(task.name)
+        self._version += 1
         return task
 
     def add_edge(self, parent: str, child: str) -> None:
@@ -112,6 +119,7 @@ class TaskGraph:
             )
         self._successors[parent].add(child)
         self._predecessors[child].add(parent)
+        self._version += 1
 
     def remove_edge(self, parent: str, child: str) -> None:
         """Remove an existing precedence edge."""
@@ -121,6 +129,7 @@ class TaskGraph:
             raise TaskGraphError(f"no edge {parent!r} -> {child!r}")
         self._successors[parent].discard(child)
         self._predecessors[child].discard(parent)
+        self._version += 1
 
     def _require(self, name: str) -> Task:
         try:
@@ -145,6 +154,15 @@ class TaskGraph:
     # ------------------------------------------------------------------
     # basic queries
     # ------------------------------------------------------------------
+    @property
+    def version(self) -> int:
+        """Mutation counter: bumped by every task or edge added or removed.
+
+        Anything derived from the graph and kept beyond one call is stale
+        once the version moves (see :class:`GraphMemo`).
+        """
+        return self._version
+
     @property
     def num_tasks(self) -> int:
         """Number of vertices (the paper's ``n = |V|``)."""
@@ -410,3 +428,22 @@ class TaskGraph:
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"TaskGraph({label} {self.num_tasks} tasks, {self.num_edges} edges)"
+
+
+class GraphMemo:
+    """Values derived from task graphs, memoised per graph *version*.
+
+    Weakly keyed, so graphs die normally.  An entry built before the graph
+    last changed (:attr:`TaskGraph.version`) is rebuilt on the next lookup.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "WeakKeyDictionary[TaskGraph, Tuple[int, Any]]" = WeakKeyDictionary()
+
+    def get(self, graph: TaskGraph, build: Callable[[], _T]) -> _T:
+        """The memoised ``build()`` for ``graph`` at its current version."""
+        version = graph.version
+        entry = self._entries.get(graph)
+        if entry is None or entry[0] != version:
+            entry = self._entries[graph] = (version, build())
+        return entry[1]
