@@ -129,8 +129,7 @@ def exhaustive_optimum(
             # subclass that never overrode the raising contribution_floor
             # stub (hasattr cannot tell it from a real implementation), and
             # a model implementing interval_contributions without the mixin
-            # at all (no contribution_floor attribute; CachedBatteryModel
-            # re-raises the miss as AttributeError).  Both take the
+            # at all (no contribution_floor attribute).  Both take the
             # documented fallback; the probe raises before any candidate is
             # accepted, so nothing partial leaks out of the abandoned search.
             pruned = False

@@ -20,7 +20,7 @@ own exact pruning floor.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class IdealBatteryModel(ScheduleKernelMixin, BatteryModel):
     ) -> np.ndarray:
         """Per-interval coulomb counts (``time_to_end`` is ignored)."""
         return np.asarray(currents, dtype=float) * np.asarray(durations, dtype=float)
-
-    def signature(self) -> Tuple:
-        """Exact-parameter cache fingerprint (see :func:`repro.engine.model_signature`)."""
-        return (type(self).__name__,)
 
     def __repr__(self) -> str:
         return "IdealBatteryModel()"

@@ -55,7 +55,7 @@ conformance suite pins <= 1e-9).
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -146,10 +146,6 @@ class KineticBatteryModel(ScheduleKernelMixin, BatteryModel):
         coulomb count.
         """
         return np.asarray(currents, dtype=float) * np.asarray(durations, dtype=float)
-
-    def signature(self) -> Tuple:
-        """Exact-parameter cache fingerprint (see :func:`repro.engine.model_signature`)."""
-        return (type(self).__name__, self.c, self.k)
 
     def unavailable_charge(self, profile: LoadProfile, at_time: Optional[float] = None) -> float:
         """Only the stranded (recoverable) part of the apparent charge."""

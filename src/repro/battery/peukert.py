@@ -32,7 +32,7 @@ conformance reference for the vectorized kernel.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -107,10 +107,6 @@ class PeukertModel(ScheduleKernelMixin, BatteryModel):
         currents = np.asarray(currents, dtype=float)
         ratio = currents / self.reference_current
         return self.reference_current * durations * ratio**self.exponent
-
-    def signature(self) -> Tuple:
-        """Exact-parameter cache fingerprint (see :func:`repro.engine.model_signature`)."""
-        return (type(self).__name__, self.exponent, self.reference_current)
 
     def __repr__(self) -> str:
         return (

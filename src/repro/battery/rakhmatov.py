@@ -270,9 +270,5 @@ class RakhmatovVrudhulaModel(ScheduleKernelMixin, BatteryModel):
         end = profile.end_time
         return self.apparent_charge(profile, end) - self.apparent_charge(profile, end + rest)
 
-    def signature(self) -> tuple:
-        """Exact-parameter cache fingerprint (see :func:`repro.engine.model_signature`)."""
-        return (type(self).__name__, self.beta, self.series_terms)
-
     def __repr__(self) -> str:
         return f"RakhmatovVrudhulaModel(beta={self.beta:g}, series_terms={self.series_terms})"

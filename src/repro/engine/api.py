@@ -136,20 +136,6 @@ class ExperimentRun:
         return tuple(result for result in self.results if not result.ok)
 
     @property
-    def cache_hits(self) -> int:
-        return sum(result.cache_hits for result in self.results)
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(result.cache_misses for result in self.results)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Battery-cost cache hit rate aggregated over every executed job."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
-    @property
     def elapsed_s(self) -> float:
         """Summed per-job execution time (CPU-side, excludes pool overhead)."""
         return sum(result.elapsed_s for result in self.results)
@@ -192,8 +178,7 @@ class ExperimentRun:
         deduped = f", {self.deduped} deduped" if self.deduped else ""
         return (
             f"{len(self.results)} jobs ({self.executed} executed, "
-            f"{self.skipped} resumed{deduped}), {len(self.failures())} failed, "
-            f"cache hit rate {self.cache_hit_rate:.1%}"
+            f"{self.skipped} resumed{deduped}), {len(self.failures())} failed"
         )
 
 
@@ -215,7 +200,7 @@ def run_experiments(
     >>> problem = SchedulingProblem(graph=build_g3(), deadline=230.0, name="g3")
     >>> run = run_experiments([problem], ["all-fastest", "all-slowest"])
     >>> run.summary()
-    '2 jobs (2 executed, 0 resumed), 0 failed, cache hit rate 0.0%'
+    '2 jobs (2 executed, 0 resumed), 0 failed'
 
     Parameters
     ----------

@@ -10,12 +10,6 @@ Error isolation is also part of the contract: a job that raises is captured
 into ``JobResult.error`` and the rest of the batch keeps running.  A sweep
 with one pathological instance therefore degrades to one ``inf`` cell
 instead of a crashed process.
-
-Each executor owns a :class:`~repro.engine.cache.BatteryCostCache` that is
-shared across all jobs it runs (one cache per worker process in the parallel
-case), so repeated battery-cost evaluations across jobs — extremely common
-in sweeps, where neighbouring coordinates revisit the same profiles — are
-answered from memory.
 """
 
 from __future__ import annotations
@@ -28,7 +22,6 @@ from typing import Callable, Iterable, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..obs import RECORDER as _OBS, TraceContext
-from .cache import DEFAULT_CACHE_SIZE, BatteryCostCache, CacheStats, CachedBatteryModel
 from .jobs import Job, JobResult, get_algorithm
 
 __all__ = [
@@ -42,7 +35,7 @@ __all__ = [
 #: ``progress(done, total, result)`` is invoked after every job completes.
 ProgressCallback = Callable[[int, int, JobResult], None]
 
-#: Executors run any job type through a module-level ``runner(job, cache=None)``
+#: Executors run any job type through a module-level ``runner(job)``
 #: returning a result record — :func:`execute_job` for experiment jobs,
 #: :func:`repro.engine.simjobs.execute_simulation_job` for simulation jobs.
 #: Module-level matters: the parallel executor ships the runner to worker
@@ -50,18 +43,15 @@ ProgressCallback = Callable[[int, int, JobResult], None]
 JobRunner = Callable[..., object]
 
 
-def execute_job(job: Job, cache: Optional[BatteryCostCache] = None) -> JobResult:
+def execute_job(job: Job) -> JobResult:
     """Run one job to completion, capturing any failure into the result.
 
     This is the single execution path used by both executors (and by worker
     processes, which is why it is a module-level function: it must be
     importable by name on the far side of a process boundary).
     """
-    if cache is None:
-        cache = _worker_cache()
     obs_before = _OBS.counters_snapshot(include_volatile=True) if _OBS.enabled else None
-    before = cache.stats.snapshot()
-    model = CachedBatteryModel(job.problem.model(), cache)
+    model = job.problem.model()
     runner = get_algorithm(job.algorithm)
     started = time.perf_counter()
     try:
@@ -70,7 +60,6 @@ def execute_job(job: Job, cache: Optional[BatteryCostCache] = None) -> JobResult
                 outcome = runner(job.problem, model, dict(job.params))
     except Exception as exc:  # noqa: BLE001 - per-job isolation is the point
         elapsed = time.perf_counter() - started
-        used = cache.stats.delta(before)
         return JobResult(
             key=job.key(),
             algorithm=job.algorithm,
@@ -78,13 +67,9 @@ def execute_job(job: Job, cache: Optional[BatteryCostCache] = None) -> JobResult
             error=f"{type(exc).__name__}: {exc}",
             traceback=traceback_module.format_exc(),
             elapsed_s=elapsed,
-            cache_hits=used.hits,
-            cache_misses=used.misses,
-            cache_evictions=used.evictions,
-            metrics=_job_metrics(obs_before, used, failed=True),
+            metrics=_job_metrics(obs_before, failed=True),
         )
     elapsed = time.perf_counter() - started
-    used = cache.stats.delta(before)
     makespan = float(outcome.makespan)
     return JobResult(
         key=job.key(),
@@ -96,41 +81,25 @@ def execute_job(job: Job, cache: Optional[BatteryCostCache] = None) -> JobResult
         sequence=tuple(outcome.sequence),
         assignment={name: int(col) for name, col in outcome.assignment.items()},
         elapsed_s=elapsed,
-        cache_hits=used.hits,
-        cache_misses=used.misses,
-        cache_evictions=used.evictions,
-        metrics=_job_metrics(obs_before, used),
+        metrics=_job_metrics(obs_before),
     )
 
 
-def _job_metrics(obs_before, used: CacheStats, kind: str = "jobs", failed: bool = False):
+def _job_metrics(obs_before, kind: str = "jobs", failed: bool = False):
     """Close out one job's observability accounting; None while disabled.
 
-    Counts the job itself and its battery-cache traffic, then returns the
-    recorder delta since ``obs_before`` so the parallel executor can ship it
-    across the process boundary (see ``ParallelExecutor.run``).
+    Counts the job itself, then returns the recorder delta since
+    ``obs_before`` so the parallel executor can ship it across the process
+    boundary (see ``ParallelExecutor.run``).
     """
     if obs_before is None or not _OBS.enabled:
         return None
     _OBS.count(f"engine.{kind}.failed" if failed else f"engine.{kind}.executed")
-    if used.hits:
-        _OBS.count("rt.engine.cache.hits", used.hits)
-    if used.misses:
-        _OBS.count("rt.engine.cache.misses", used.misses)
-    if used.evictions:
-        _OBS.count("rt.engine.cache.evictions", used.evictions)
     return _OBS.metrics_delta(obs_before)
 
 
-# ----------------------------------------------------------------------
-# worker-process cache (one per process, lazily created)
-# ----------------------------------------------------------------------
-_PROCESS_CACHE: Optional[BatteryCostCache] = None
-_PROCESS_CACHE_SIZE = DEFAULT_CACHE_SIZE
-
-
-def _init_worker(cache_size: int, obs_enabled: bool = False) -> None:
-    """Process-pool initializer: fresh bounded cache, fresh recorder state.
+def _init_worker(obs_enabled: bool = False) -> None:
+    """Process-pool initializer: fresh recorder state.
 
     The recorder reset matters under ``fork``: the child would otherwise
     inherit the parent's counter values *and* its open sink handles, and
@@ -138,18 +107,8 @@ def _init_worker(cache_size: int, obs_enabled: bool = False) -> None:
     Workers record into memory only; per-job deltas travel back on the
     result (``JobResult.metrics``) and are merged by the parent.
     """
-    global _PROCESS_CACHE, _PROCESS_CACHE_SIZE
-    _PROCESS_CACHE_SIZE = cache_size
-    _PROCESS_CACHE = BatteryCostCache(cache_size)
     _OBS.reset()
     _OBS.enabled = obs_enabled
-
-
-def _worker_cache() -> BatteryCostCache:
-    global _PROCESS_CACHE
-    if _PROCESS_CACHE is None:
-        _PROCESS_CACHE = BatteryCostCache(_PROCESS_CACHE_SIZE)
-    return _PROCESS_CACHE
 
 
 def _run_with_context(runner: JobRunner, job, ctx: Optional[TraceContext]):
@@ -196,24 +155,11 @@ def _pool_failure_result(job, exc: Exception):
 
 
 class SerialExecutor:
-    """Run jobs one after another in the calling process.
-
-    The executor keeps its cache across :meth:`run` calls, so driving several
-    batches through one executor (as the CLI and the sweep drivers do)
-    compounds the hit rate.
-    """
-
-    def __init__(self, cache_size: int = DEFAULT_CACHE_SIZE) -> None:
-        self.cache = BatteryCostCache(cache_size)
+    """Run jobs one after another in the calling process."""
 
     @property
     def max_workers(self) -> int:
         return 1
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Aggregate battery-cache counters across every job this executor ran."""
-        return self.cache.stats
 
     def run(
         self,
@@ -225,51 +171,29 @@ class SerialExecutor:
         job_list = list(jobs)
         results: List[JobResult] = []
         for index, job in enumerate(job_list):
-            result = runner(job, cache=self.cache)
+            result = runner(job)
             results.append(result)
             if progress is not None:
                 progress(index + 1, len(job_list), result)
         return results
 
     def __repr__(self) -> str:
-        return f"SerialExecutor(cache_entries={len(self.cache)})"
+        return "SerialExecutor()"
 
 
 class ParallelExecutor:
     """Fan jobs out over a :class:`concurrent.futures.ProcessPoolExecutor`.
 
     Jobs are pure data and the runner is resolved by name inside the worker,
-    so the only pickled payload is the job spec itself.  Each worker process
-    holds one battery-cost cache for its lifetime.  Results are re-ordered
-    to submission order before returning, keeping parallel output identical
-    to serial output.
+    so the only pickled payload is the job spec itself.  Results are
+    re-ordered to submission order before returning, keeping parallel output
+    identical to serial output.
     """
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(f"max_workers must be >= 1, got {max_workers!r}")
         self.max_workers = max_workers or os.cpu_count() or 1
-        self.cache_size = cache_size
-        self._serial_fallback: Optional[SerialExecutor] = None
-        self._pool_stats = CacheStats()
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Worker-local cache counters, merged back through the pool.
-
-        Per-worker ``CacheStats`` live in worker processes and die with the
-        pool; each job therefore reports its own cache delta on its result,
-        and ``run`` folds those deltas into this aggregate (plus whatever the
-        serial fallback executor accumulated).
-        """
-        total = self._pool_stats.snapshot()
-        if self._serial_fallback is not None:
-            total.add(self._serial_fallback.cache_stats)
-        return total
 
     def run(
         self,
@@ -282,11 +206,8 @@ class ParallelExecutor:
         if not job_list:
             return []
         if self.max_workers == 1 or len(job_list) == 1:
-            # A one-worker pool would pay process start-up for nothing; the
-            # fallback executor persists so its cache spans run() calls.
-            if self._serial_fallback is None:
-                self._serial_fallback = SerialExecutor(self.cache_size)
-            return self._serial_fallback.run(job_list, progress=progress, runner=runner)
+            # A one-worker pool would pay process start-up for nothing.
+            return SerialExecutor().run(job_list, progress=progress, runner=runner)
 
         results: List[Optional[JobResult]] = [None] * len(job_list)
         workers = min(self.max_workers, len(job_list))
@@ -294,7 +215,7 @@ class ParallelExecutor:
         with futures.ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
-            initargs=(self.cache_size, _OBS.enabled),
+            initargs=(_OBS.enabled,),
         ) as pool:
             submitted = time.perf_counter()
             pending = {
@@ -309,13 +230,6 @@ class ParallelExecutor:
                 except Exception as exc:  # pool/pickling failure, not the job
                     job = job_list[index]
                     result = _pool_failure_result(job, exc)
-                self._pool_stats.add(
-                    CacheStats(
-                        hits=getattr(result, "cache_hits", 0),
-                        misses=getattr(result, "cache_misses", 0),
-                        evictions=getattr(result, "cache_evictions", 0),
-                    )
-                )
                 if _OBS.enabled:
                     self._record_remote_job(result, job_list[index], submitted)
                 results[index] = result

@@ -10,9 +10,8 @@ captured error), small enough to round-trip through the JSONL result store.
 
 The mapping from algorithm *names* to implementations lives in the registry
 at the bottom of this module; executors resolve names at run time, which is
-what keeps jobs serialisable.  Every runner receives an optional battery
-``model`` override so the executors can inject the battery-cost cache
-without the algorithms knowing about it.
+what keeps jobs serialisable.  Every runner receives the battery ``model``
+the executor built from the job's problem.
 """
 
 from __future__ import annotations
@@ -195,14 +194,7 @@ class JobResult:
     assignment: Optional[Dict[str, int]] = None
     error: Optional[str] = None
     elapsed_s: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
     traceback: Optional[str] = None
-    #: Cache evictions during this job.  In-memory accounting only (the
-    #: executors aggregate it); excluded from :meth:`to_dict` because the
-    #: value depends on worker placement, and the stores must stay
-    #: byte-identical between serial and parallel runs.
-    cache_evictions: int = field(default=0, compare=False)
     #: Per-job observability metrics delta (``repro.obs``), shipped back to
     #: the parent through the process pool.  Never serialised: traced and
     #: untraced runs must produce byte-identical result stores.
@@ -226,14 +218,16 @@ class JobResult:
             "assignment": dict(self.assignment) if self.assignment is not None else None,
             "error": self.error,
             "elapsed_s": self.elapsed_s,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
             "traceback": self.traceback,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobResult":
-        """Rebuild a result from its :meth:`to_dict` form."""
+        """Rebuild a result from its :meth:`to_dict` form.
+
+        Fields this version no longer writes (``cache_hits``/``cache_misses``
+        of older stores) are ignored, so old result directories still resume.
+        """
         _check_record(data, "job result", ("key", "algorithm"))
         sequence = data.get("sequence")
         assignment = data.get("assignment")
@@ -250,8 +244,6 @@ class JobResult:
             else None,
             error=data.get("error"),
             elapsed_s=float(data.get("elapsed_s", 0.0)),
-            cache_hits=int(data.get("cache_hits", 0)),
-            cache_misses=int(data.get("cache_misses", 0)),
             traceback=data.get("traceback"),
         )
 

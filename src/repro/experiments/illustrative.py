@@ -14,7 +14,6 @@ from typing import Optional
 
 from ..battery import BatterySpec
 from ..core import SchedulerConfig, SchedulingSolution, battery_aware_schedule
-from ..engine import BatteryCostCache, CachedBatteryModel
 from ..scheduling import SchedulingProblem
 from ..taskgraph import G3_BETA, G3_DEADLINE, build_g3
 
@@ -37,16 +36,7 @@ def run_illustrative_example(
     deadline: float = G3_DEADLINE,
     beta: float = G3_BETA,
     config: Optional[SchedulerConfig] = None,
-    cache: Optional[BatteryCostCache] = None,
 ) -> SchedulingSolution:
-    """Run the iterative algorithm on the illustrative example with history.
-
-    The battery model is wrapped in the engine's memo cache (shareable via
-    ``cache=``), which speeds up the window search's repeated sigma
-    evaluations without changing any value: cache hits return the exact
-    floats the bare model would produce.
-    """
+    """Run the iterative algorithm on the illustrative example with history."""
     problem = g3_problem(deadline=deadline, beta=beta)
-    config = config or SchedulerConfig()
-    model = CachedBatteryModel(problem.model(), cache)
-    return battery_aware_schedule(problem, config=config, model=model)
+    return battery_aware_schedule(problem, config=config or SchedulerConfig())

@@ -13,9 +13,8 @@ Two sweeps extend the paper's point comparisons into curves:
 
 Both sweeps submit their (coordinate, algorithm) grid to the experiment
 engine (:mod:`repro.engine`), so they fan out across worker processes via
-``executor=``, share the battery-cost cache within each worker, and resume
-from a :class:`~repro.engine.ResultStore` when asked.  A failed cell
-surfaces as ``inf`` instead of aborting the sweep.  Passing an explicit
+``executor=`` and resume from a :class:`~repro.engine.ResultStore` when
+asked.  A failed cell surfaces as ``inf`` instead of aborting the sweep.  Passing an explicit
 ``algorithms`` mapping of callables bypasses the engine and evaluates them
 in-process (the legacy path, kept for ad-hoc algorithm experiments).
 """

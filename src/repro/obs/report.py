@@ -351,7 +351,7 @@ def _span_table(trace: TraceData) -> "Any":
 
 
 def _runtime_table(trace: TraceData) -> Optional["Any"]:
-    """Derived runtime health metrics: pool utilization, cache hit rates.
+    """Derived runtime health metrics: pool utilization.
 
     The underlying gauges/counters are volatile (``rt.``-prefixed) raw
     material; this table turns them into the ratios people actually ask for.
@@ -363,16 +363,6 @@ def _runtime_table(trace: TraceData) -> Optional["Any"]:
     utilization = trace.gauges.get("rt.engine.pool.utilization")
     if utilization is not None:
         rows.append(("engine.pool.utilization", utilization, "busy worker-seconds / pool capacity"))
-    for layer, hits_key, miss_key in (
-        ("engine.cache", "rt.engine.cache.hits", "rt.engine.cache.misses"),
-        ("eval.cache", "rt.eval.cache.hit", "rt.eval.cache.miss"),
-    ):
-        hits = trace.counters.get(hits_key, 0)
-        misses = trace.counters.get(miss_key, 0)
-        if hits or misses:
-            rows.append(
-                (f"{layer}.hit_rate", hits / (hits + misses), f"{hits} hits / {misses} misses")
-            )
     if not rows:
         return None
     table = TextTable(

@@ -16,7 +16,7 @@ All randomness flows through an explicit :class:`numpy.random.Generator`
 handed to the draw methods — the model itself holds no state — so a
 (seed, policy) pair fully determines a run: the simulator draws in event
 order, which is deterministic, making simulation results content-hashable
-and engine-cacheable.  :func:`rng_for_seed` builds the canonical PCG64
+and resumable from a result store.  :func:`rng_for_seed` builds the canonical PCG64
 stream used throughout the sim stack (``SeedSequence([seed, replication])``
 keeps replications independent without magic offsets).
 

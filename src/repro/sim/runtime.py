@@ -136,9 +136,8 @@ class Simulator:
         Seed or :class:`numpy.random.Generator` for the perturbation
         draws.  Required only when the perturbation actually draws.
     model:
-        Battery model override (e.g. an engine
-        :class:`~repro.engine.CachedBatteryModel`); defaults to the
-        problem's own chemistry model.
+        Battery model override; defaults to the problem's own chemistry
+        model.
     clock:
         Virtual clock override (testing/instrumentation hook).
     evaluate_at:

@@ -66,6 +66,3 @@ class TestScheduleKernel:
         assert model.schedule_charge([1.0, 2.0, 3.0], [10.0, 20.0, 30.0]) == (
             model.schedule_charge([3.0, 1.0, 2.0], [30.0, 10.0, 20.0])
         )
-
-    def test_signature_is_parameter_free(self):
-        assert IdealBatteryModel().signature() == ("IdealBatteryModel",)

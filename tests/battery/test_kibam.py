@@ -162,8 +162,3 @@ class TestSuperposedScheduleKernel:
             model.schedule_charge_batch([[1.0]], [[3.0]], rest=-1.0)
         with pytest.raises(BatteryModelError):
             model.schedule_charge_batch([1.0], [3.0])
-
-    def test_signature_exposes_exact_parameters(self):
-        assert KineticBatteryModel(c=0.5, k=0.07).signature() == (
-            "KineticBatteryModel", 0.5, 0.07,
-        )

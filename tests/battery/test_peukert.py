@@ -93,8 +93,3 @@ class TestScheduleKernel:
         assert model.schedule_charge(durations, currents) == pytest.approx(
             model.apparent_charge(profile), rel=1e-12
         )
-
-    def test_signature_exposes_exact_parameters(self):
-        assert PeukertModel(exponent=1.2, reference_current=3.0).signature() == (
-            "PeukertModel", 1.2, 3.0,
-        )

@@ -165,8 +165,6 @@ class TestJobResultRoundTrip:
             sequence=("a", "b"),
             assignment={"a": 0, "b": 2},
             elapsed_s=0.5,
-            cache_hits=3,
-            cache_misses=7,
         )
         assert JobResult.from_dict(result.to_dict()) == result
         assert result.ok

@@ -97,14 +97,14 @@ class TestRecorderEnabled:
         rec = Recorder()
         rec.enabled = True
         rec.count("eval.apply")
-        rec.count("rt.eval.cache.hit")
+        rec.count("rt.test.volatile")
         rec.observe("eval.recompute_window", 4)
         rec.observe("rt.sim.decision_s", 0.1)
         snapshot = rec.counters_snapshot()
         assert list(snapshot["counters"]) == ["eval.apply"]
         assert list(snapshot["histograms"]) == ["eval.recompute_window"]
         everything = rec.counters_snapshot(include_volatile=True)
-        assert "rt.eval.cache.hit" in everything["counters"]
+        assert "rt.test.volatile" in everything["counters"]
         assert "rt.sim.decision_s" in everything["histograms"]
 
     def test_snapshot_is_sorted_and_json_safe(self):

@@ -177,24 +177,6 @@ class TestKeyStems:
         assert "engine.simjobs.key_stems" not in RECORDER.counters_snapshot()["counters"]
 
 
-class TestCacheStatsMerge:
-    def test_parallel_executor_aggregates_worker_stats(self, registry):
-        executor = ParallelExecutor(max_workers=2)
-        run = run_simulation_jobs(make_jobs(registry), executor=executor)
-        stats = executor.cache_stats
-        # replications of one cell share schedules: workers must report hits
-        assert stats.hits + stats.misses > 0
-        assert stats.hits == run.cache_hits
-        assert stats.misses == run.cache_misses
-
-    def test_serial_executor_exposes_cache_stats(self, registry):
-        executor = SerialExecutor()
-        run = run_simulation_jobs(make_jobs(registry), executor=executor)
-        assert executor.cache_stats.hits == run.cache_hits
-        assert run.cache_hit_rate > 0.0
-        assert "cache hit rate" in run.summary()
-
-
 class TestTracebackCapture:
     def test_failed_simulation_records_traceback(self, registry):
         doomed = dataclasses.replace(
@@ -247,8 +229,6 @@ class TestEvaluatorCounters:
         hists = RECORDER.counters_snapshot()["histograms"]
         window = hists["eval.recompute_window"]
         assert window["count"] > 0 and window["buckets"]
-        volatile = RECORDER.counters_snapshot(include_volatile=True)["counters"]
-        assert volatile["rt.eval.cache.hit"] + volatile["rt.eval.cache.miss"] > 0
 
 
 class TestCoreInstrumentation:

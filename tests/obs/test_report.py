@@ -35,7 +35,7 @@ def trace_path(tmp_path):
             with rec.span("engine.store.append"):
                 pass
         rec.count("eval.apply", 4)
-        rec.count("rt.eval.cache.hit", 2)
+        rec.count("rt.test.volatile", 2)
         rec.observe("eval.recompute_window", 3)
         rec.gauge("rt.engine.pool.utilization", 0.75)
     return path
@@ -117,7 +117,7 @@ class TestLoad:
             "engine.job",
         ]
         assert trace.counters["eval.apply"] == 4
-        assert trace.counters["rt.eval.cache.hit"] == 2
+        assert trace.counters["rt.test.volatile"] == 2
         names = {row["name"] for row in trace.histograms}
         assert "eval.recompute_window" in names
         assert trace.gauges["rt.engine.pool.utilization"] == 0.75
@@ -223,7 +223,6 @@ class TestRuntimeTable:
         text = "\n".join(trace_summary_lines(load_trace(trace_path)))
         assert "Runtime (derived from rt.* metrics)" in text
         assert "engine.pool.utilization" in text
-        assert "eval.cache.hit_rate" in text
 
 
 class TestChromeTrace:
@@ -263,7 +262,7 @@ class TestSummaries:
 
     def test_counts_deterministic_counters(self, trace_path):
         text = "\n".join(trace_summary_lines(load_trace(trace_path)))
-        # eval.apply is deterministic; rt.eval.cache.hit is not
+        # eval.apply is deterministic; rt.test.volatile is not
         assert "2 counters (1 deterministic)" in text
 
     def test_recorder_summary_empty(self):

@@ -367,28 +367,3 @@ class TestCrossChemistryIncrementalAgreesWithFull:
                 profile, profile.end_time + rest
             )
             assert array_path == pytest.approx(profile_path, abs=AGREEMENT_ATOL)
-
-    def test_schedule_cache_composes_with_every_chemistry(self, chemistry_model):
-        """Cache-wrapped evaluators return the exact uncached costs."""
-        from repro.engine import BatteryCostCache, CachedBatteryModel
-
-        graph = layered_graph(num_layers=5, layer_width=3, seed=4, name="xcache")
-        sequence = sequence_by_decreasing_energy(graph)
-        assignment = DesignPointAssignment.all_fastest(graph)
-        plain = IncrementalCostEvaluator(graph, sequence, assignment, chemistry_model)
-        cached_model = CachedBatteryModel(chemistry_model, BatteryCostCache())
-        wrapped = IncrementalCostEvaluator(graph, sequence, assignment, cached_model)
-        names = list(graph.task_names())
-        for name in names[:6]:
-            column = 1 if plain.columns[name] != 1 else 2
-            assert (
-                wrapped.propose_design_point(name, column).cost
-                == plain.propose_design_point(name, column).cost
-            )
-        # Repeat proposals answer from the cache without drifting.
-        hits_before = cached_model.cache.stats.hits
-        repeat = wrapped.propose_design_point(names[0], 1 if wrapped.columns[names[0]] != 1 else 2)
-        assert cached_model.cache.stats.hits > hits_before
-        assert repeat.cost == plain.propose_design_point(
-            names[0], 1 if plain.columns[names[0]] != 1 else 2
-        ).cost

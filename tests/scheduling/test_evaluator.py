@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.battery import IdealBatteryModel, RakhmatovVrudhulaModel
-from repro.engine import BatteryCostCache, CachedBatteryModel
 from repro.errors import ConfigurationError, ScheduleError
 from repro.scheduling import (
     DesignPointAssignment,
@@ -156,39 +155,9 @@ class TestApplyUndo:
         assert evaluator.cost == evaluator.evaluate_full()
 
 
-class TestCachedModelComposition:
-    def test_proposals_probe_and_fill_schedule_cache(self, diamond4, assignment, model):
-        cached = CachedBatteryModel(model, BatteryCostCache())
-        evaluator = IncrementalCostEvaluator(diamond4, SEQ, assignment, cached)
-        first = evaluator.propose_design_point("B", 1)
-        misses = cached.cache.stats.misses
-        second = evaluator.propose_design_point("B", 1)
-        assert second.cost == first.cost
-        assert cached.cache.stats.misses == misses
-        assert cached.cache.stats.hits >= 1
-
-    def test_cached_values_match_uncached(self, diamond4, assignment, model):
-        cached = CachedBatteryModel(model, BatteryCostCache())
-        plain = IncrementalCostEvaluator(diamond4, SEQ, assignment, model)
-        wrapped = IncrementalCostEvaluator(diamond4, SEQ, assignment, cached)
-        for name, column in (("B", 1), ("C", 2)):
-            assert (
-                wrapped.propose_design_point(name, column).cost
-                == plain.propose_design_point(name, column).cost
-            )
-
-    def test_apply_after_cache_hit_keeps_state_consistent(self, diamond4, assignment, model):
-        cached = CachedBatteryModel(model, BatteryCostCache())
-        evaluator = IncrementalCostEvaluator(diamond4, SEQ, assignment, cached)
-        evaluator.propose_design_point("B", 1)  # fills the cache
-        hit = evaluator.propose_design_point("B", 1)  # served from cache
-        evaluator.apply(hit)
-        assert evaluator.cost == hit.cost
-        assert evaluator.cost == evaluator.evaluate_full()
-
-    def test_generic_inner_model_falls_back(self, diamond4, assignment):
-        cached = CachedBatteryModel(IdealBatteryModel(), BatteryCostCache())
-        evaluator = IncrementalCostEvaluator(diamond4, SEQ, assignment, cached)
+class TestIdealModel:
+    def test_proposal_matches_full_cost(self, diamond4, assignment):
+        evaluator = IncrementalCostEvaluator(diamond4, SEQ, assignment, IdealBatteryModel())
         proposal = evaluator.propose_design_point("B", 1)
         expected = battery_cost(
             diamond4,
@@ -211,14 +180,11 @@ class TestUndoTracking:
         with pytest.raises(ScheduleError, match="track_undo"):
             evaluator.undo()
 
-    def test_undo_after_cache_hit_apply(self, diamond4, assignment, model):
-        cached = CachedBatteryModel(model, BatteryCostCache())
-        evaluator = IncrementalCostEvaluator(diamond4, SEQ, assignment, cached)
+    def test_undo_restores_contributions(self, diamond4, assignment, model):
+        evaluator = IncrementalCostEvaluator(diamond4, SEQ, assignment, model)
         before_cost = evaluator.cost
         before_contrib = evaluator.state.contributions.copy()
-        evaluator.propose_design_point("B", 1)  # fills the cache
-        hit = evaluator.propose_design_point("B", 1)  # served from cache
-        evaluator.apply(hit)
+        evaluator.apply(evaluator.propose_design_point("B", 1))
         evaluator.undo()
         assert evaluator.cost == before_cost
         assert np.array_equal(evaluator.state.contributions, before_contrib)
