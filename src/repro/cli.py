@@ -67,6 +67,7 @@ from .analysis import gantt_chart
 from .battery import BatterySpec
 from .core import SchedulerConfig, battery_aware_schedule, refine_solution
 from .engine import ResultStore, default_executor
+from .errors import ReproError
 from .experiments import (
     deadline_sweep,
     figure3_windows,
@@ -85,6 +86,14 @@ from .taskgraph import build_g2, build_g3, load_json
 __all__ = ["build_parser", "main"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -96,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_engine_arguments(subparser: argparse.ArgumentParser) -> None:
         """Experiment-engine controls shared by the batch commands."""
         subparser.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
+            "--jobs", type=_positive_int, default=1, metavar="N",
             help="worker processes for the experiment engine (1 = in-process)")
         subparser.add_argument(
             "--resume", action="store_true",
@@ -466,6 +475,9 @@ def _engine_options(args: argparse.Namespace, record_type=None) -> dict:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code.
 
+    A library error (:class:`~repro.errors.ReproError`) is reported as one
+    ``error: ...`` line on stderr with exit code 1, not a traceback.
+
     ``--trace``/``--metrics`` wrap the whole command in a
     :func:`repro.obs.recording` session: spans and counters stream to the
     JSONL sink while the run itself stays byte-identical (instrumentation
@@ -486,10 +498,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         session.__enter__()
     try:
         code = _dispatch(args, out)
-    except BaseException:
+    except BaseException as exc:
         if session is not None:
             session.__exit__(*sys.exc_info())
-        raise
+        if not isinstance(exc, ReproError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if session is not None:
         from .obs import RECORDER
 

@@ -22,6 +22,7 @@ __all__ = [
     "AlgorithmError",
     "ConfigurationError",
     "SimulationError",
+    "TraceError",
 ]
 
 
@@ -92,4 +93,12 @@ class SimulationError(ReproError):
     Covers protocol violations (a scheduler assigning a non-ready or
     already-finished task, virtual time running backwards) as well as
     runs abandoned after a task exhausted its retry budget.
+    """
+
+
+class TraceError(ReproError, ValueError):
+    """A recorded observability trace file is malformed.
+
+    Also a :class:`ValueError`, which is what trace readers raised before
+    the type existed.
     """

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..errors import TraceError
 from .core import Recorder, is_volatile
 from .sinks import SUPPORTED_TRACE_VERSIONS
 
@@ -61,7 +62,7 @@ class TraceData:
 
 
 def load_trace(path: Union[str, Path], salvage: bool = False) -> TraceData:
-    """Parse a JSONL trace; raises ValueError on malformed lines.
+    """Parse a JSONL trace; raises :class:`~repro.errors.TraceError` on malformed lines.
 
     With ``salvage=True`` a malformed line — typically the torn final write
     of a crashed run — stops parsing instead of raising: everything before
@@ -78,28 +79,16 @@ def load_trace(path: Union[str, Path], salvage: bool = False) -> TraceData:
             if not line:
                 continue
             try:
-                event = json.loads(line)
-            except json.JSONDecodeError as exc:
+                saw_footer |= _add_event(trace, line, f"{path}:{lineno}")
+            except TraceError:
                 if not salvage:
-                    raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+                    raise
                 trace.complete = False
                 trace.problems.append(
                     f"line {lineno}: truncated or corrupt; salvaged the "
                     f"{len(trace.spans)} spans recorded before it"
                 )
                 break
-            kind = event.get("type")
-            if kind == "meta":
-                trace.meta = event
-            elif kind == "span":
-                trace.spans.append(event)
-            elif kind == "gauge":
-                trace.gauges[event["name"]] = event["value"]
-            elif kind == "counters":
-                trace.counters.update(event["counts"])
-                saw_footer = True
-            elif kind == "histogram":
-                trace.histograms.append(event)
     if salvage and not saw_footer:
         trace.complete = False
         trace.problems.append(
@@ -107,6 +96,34 @@ def load_trace(path: Union[str, Path], salvage: bool = False) -> TraceData:
             "(crashed run?); counters and histograms are unavailable"
         )
     return trace
+
+
+def _add_event(trace: TraceData, line: str, where: str) -> bool:
+    """Fold one JSONL line into ``trace``; True when it was the counter footer."""
+    try:
+        event = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceError(f"{where}: not valid JSON: {exc}") from exc
+    if not isinstance(event, dict):
+        raise TraceError(
+            f"{where}: a trace event must be a JSON object, got {type(event).__name__}"
+        )
+    kind = event.get("type")
+    try:
+        if kind == "meta":
+            trace.meta = event
+        elif kind == "span":
+            trace.spans.append(event)
+        elif kind == "gauge":
+            trace.gauges[event["name"]] = event["value"]
+        elif kind == "counters":
+            trace.counters.update(event["counts"])
+            return True
+        elif kind == "histogram":
+            trace.histograms.append(event)
+    except KeyError as exc:
+        raise TraceError(f"{where}: {kind} event is missing the field {exc}") from None
+    return False
 
 
 def validate_trace(path: Union[str, Path]) -> List[str]:

@@ -75,6 +75,34 @@ class TestMain:
         assert "[" in out and "]" in out  # Gantt bars present
 
 
+class TestErrorPaths:
+    """Bad input ends in one ``error:`` line and a nonzero exit, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--scenarios", "g3-jitter10", "--replications", "-1"],
+             "error: replications must be >= 1, got -1"),
+            (["suite", "--scenarios", "nope"], "error: unknown scenarios: ['nope']"),
+            (["suite", "--run", "--scenarios", "nope"], "error: unknown scenarios: ['nope']"),
+        ],
+        ids=["replications", "suite-list", "suite-run"],
+    )
+    def test_library_error_is_one_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_jobs_below_one_rejected_by_parser(self, capsys, value):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--jobs", value])
+        assert info.value.code == 2
+        assert f"must be >= 1, got {value}" in capsys.readouterr().err
+
+
 class TestSuiteCommand:
     def test_suite_list_enumerates_catalogue(self, capsys):
         assert main(["suite", "--list"]) == 0
@@ -247,13 +275,11 @@ class TestOptimizeCommand:
         ]) == 0
         assert "culled" in capsys.readouterr().out
 
-    def test_unknown_pass_is_a_cli_error(self, tmp_path):
-        from repro.errors import ConfigurationError
-
+    def test_unknown_pass_is_a_cli_error(self, tmp_path, capsys):
         graph_path = tmp_path / "g2.json"
         save_json(build_g2(), graph_path)
-        with pytest.raises(ConfigurationError, match="unknown optimize pass"):
-            main(["optimize", "--graph", str(graph_path), "--passes", "explode"])
+        assert main(["optimize", "--graph", str(graph_path), "--passes", "explode"]) == 1
+        assert "unknown optimize pass" in capsys.readouterr().err
 
     def test_graph_and_scenario_mutually_exclusive(self):
         with pytest.raises(SystemExit):

@@ -115,6 +115,15 @@ class TestStatsCommand:
         assert main(["stats", str(trace_path), "--check"]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["not json", "[1, 2]"])
+    def test_malformed_trace_is_one_error_line(self, trace_path, capsys, line):
+        trace_path.write_text(trace_path.read_text() + line + "\n")
+        assert main(["stats", str(trace_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {trace_path}:")
+        assert captured.err.count("\n") == 1
+
     def test_chrome_export_is_loadable_json(self, trace_path, tmp_path, capsys):
         chrome = tmp_path / "chrome.json"
         assert main(["stats", str(trace_path), "--chrome", str(chrome)]) == 0

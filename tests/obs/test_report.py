@@ -127,6 +127,22 @@ class TestLoad:
         with pytest.raises(ValueError):
             load_trace(trace_path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("not json", "not valid JSON"),
+            ("[1, 2]", "must be a JSON object, got list"),
+            ('{"type": "gauge", "value": 1.0}', "gauge event is missing the field 'name'"),
+        ],
+    )
+    def test_malformed_line_raises_trace_error(self, trace_path, line, message):
+        from repro.errors import ReproError, TraceError
+
+        trace_path.write_text(trace_path.read_text() + line + "\n")
+        with pytest.raises(TraceError, match=message) as info:
+            load_trace(trace_path)
+        assert isinstance(info.value, ReproError) and isinstance(info.value, ValueError)
+
 
 class TestSalvage:
     def test_truncated_tail_is_salvaged(self, trace_path):
