@@ -9,6 +9,7 @@ carrying the counters as well.  Both must load, and ``--resume`` over a
 directory holding them must run nothing.
 """
 
+import json
 import shutil
 from pathlib import Path
 
@@ -70,3 +71,18 @@ def test_resume_skips_legacy_rows(results_dir, capsys, argv, store_name, summary
     assert main(argv + ["--results-dir", str(results_dir), "--resume"]) == 0
     assert summary in capsys.readouterr().out
     assert (results_dir / store_name).read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "store_name, record_type",
+    [("suite.jsonl", JobResult), ("simulate.jsonl", SimulationRecord)],
+    ids=["job-result", "simulation-record"],
+)
+def test_cache_counters_are_dropped_on_round_trip(store_name, record_type):
+    (line,) = (LEGACY / store_name).read_text().splitlines()
+    old = json.loads(line)
+    assert {"cache_hits", "cache_misses"} <= set(old)
+    record = record_type.from_dict(old)
+    current = {k: v for k, v in old.items() if k not in ("cache_hits", "cache_misses")}
+    assert record.to_dict() == current
+    assert record_type.from_dict(current) == record

@@ -102,6 +102,15 @@ class TestErrorPaths:
         assert info.value.code == 2
         assert f"must be >= 1, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", ["table4", "ablation", "suite", "simulate", "tournament"]
+    )
+    def test_every_batch_command_rejects_zero_jobs(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--jobs", "0"])
+        assert info.value.code == 2
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+
 
 class TestSuiteCommand:
     def test_suite_list_enumerates_catalogue(self, capsys):

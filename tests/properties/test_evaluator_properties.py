@@ -367,3 +367,20 @@ class TestCrossChemistryIncrementalAgreesWithFull:
                 profile, profile.end_time + rest
             )
             assert array_path == pytest.approx(profile_path, abs=AGREEMENT_ATOL)
+
+    def test_repeated_proposals_do_not_drift(self, chemistry_model):
+        """Proposing the same move again returns the same exact cost."""
+        graph = layered_graph(num_layers=5, layer_width=3, seed=4, name="xrepeat")
+        sequence = sequence_by_decreasing_energy(graph)
+        assignment = DesignPointAssignment.all_fastest(graph)
+        evaluator = IncrementalCostEvaluator(graph, sequence, assignment, chemistry_model)
+        for name in list(graph.task_names())[:6]:
+            column = 1 if evaluator.columns[name] != 1 else 2
+            first = evaluator.propose_design_point(name, column)
+            assert evaluator.propose_design_point(name, column).cost == first.cost
+            assert first.cost == battery_cost(
+                graph, first.sequence, DesignPointAssignment(dict(first.columns)),
+                chemistry_model,
+            )
+            evaluator.apply(first)
+            assert evaluator.cost == first.cost == evaluator.evaluate_full()
